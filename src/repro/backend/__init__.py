@@ -22,8 +22,7 @@ Public surface:
   :func:`reset_pool_stats` (per-thread array recycling for the tape
   backward and padded-batch buffers).
 - Fused autograd ops (loaded lazily to avoid import cycles with
-  :mod:`repro.autograd`): :func:`fused_lstm_step`,
-  :func:`fused_lstm_sequence`, :func:`fused_softmax`,
+  :mod:`repro.autograd`): :func:`fused_lstm_sequence`, :func:`fused_softmax`,
   :func:`fused_log_softmax`, :func:`fused_softmax_cross_entropy`,
   :func:`fused_gumbel_softmax`, :func:`fused_binary_concrete`,
   :func:`fused_attention`, :func:`fused_embedding_gather`,
@@ -55,7 +54,6 @@ from repro.backend.pool import BufferPool, get_pool, pool_stats, reset_pool_stat
 from repro.backend import kernels  # noqa: F401  (registers the numpy kernels)
 
 _OPS_EXPORTS = (
-    "fused_lstm_step",
     "fused_lstm_sequence",
     "fused_softmax",
     "fused_log_softmax",

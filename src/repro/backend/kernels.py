@@ -34,53 +34,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Fused LSTM step
-# ----------------------------------------------------------------------
-def lstm_step_forward(gates: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """One LSTM step from the full gate pre-activation.
-
-    ``gates`` is (B, 4H) laid out ``[input, forget, cell, output]`` and
-    ``c_prev`` is (B, H).  Returns ``(h_new, c_new, cache)`` where the
-    cache feeds the two backward kernels.
-    """
-    hs = c_prev.shape[-1]
-    i = _sigmoid(gates[:, 0:hs])
-    f = _sigmoid(gates[:, hs:2 * hs])
-    g = np.tanh(gates[:, 2 * hs:3 * hs])
-    o = _sigmoid(gates[:, 3 * hs:])
-    c_new = f * c_prev + i * g
-    tanh_c = np.tanh(c_new)
-    h_new = o * tanh_c
-    return h_new, c_new, (i, f, g, o, c_prev, tanh_c)
-
-
-def _gate_grads(dc_new: np.ndarray, do: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop a cell-state gradient (and output-gate gradient) to the
-    gate pre-activations and the previous cell state."""
-    i, f, g, o, c_prev, _ = cache
-    hs = i.shape[-1]
-    dgates = np.empty((dc_new.shape[0], 4 * hs), dtype=dc_new.dtype)
-    dgates[:, 0:hs] = dc_new * g * i * (1.0 - i)
-    dgates[:, hs:2 * hs] = dc_new * c_prev * f * (1.0 - f)
-    dgates[:, 2 * hs:3 * hs] = dc_new * i * (1.0 - g ** 2)
-    dgates[:, 3 * hs:] = do * o * (1.0 - o)
-    return dgates, dc_new * f
-
-
-def lstm_step_backward_h(grad_h: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of ``h_new`` w.r.t. ``(gates, c_prev)``."""
-    _, _, _, o, _, tanh_c = cache
-    dc_new = grad_h * o * (1.0 - tanh_c ** 2)
-    return _gate_grads(dc_new, grad_h * tanh_c, cache)
-
-
-def lstm_step_backward_c(grad_c: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of ``c_new`` w.r.t. ``(gates, c_prev)``."""
-    zero_do = np.zeros_like(grad_c)
-    return _gate_grads(grad_c, zero_do, cache)
-
-
-# ----------------------------------------------------------------------
 # Fused LSTM over a whole sequence (single graph node, explicit BPTT)
 # ----------------------------------------------------------------------
 def _sigmoid_inplace(x: np.ndarray) -> None:
@@ -110,10 +63,10 @@ def lstm_sequence_forward(
     ``gates_x`` is the batched input projection ``x @ W_ih`` for every
     timestep; the recurrent term, bias, gate nonlinearities, cell update
     and (optional) padding-mask carry are all computed here, step math
-    identical to :func:`lstm_step_forward`.  The step loop runs entirely in
-    preallocated buffers (in-place ufuncs, ``out=`` matmuls, ``np.copyto``
-    masking — exact for the 0/1 padding masks), so the per-timestep cost is
-    kernel work, not allocator churn.  Returns the (B, L, H) hidden
+    identical to the composed :meth:`repro.nn.lstm.LSTMCell.forward`.
+    The step loop runs entirely in preallocated buffers (in-place ufuncs,
+    ``out=`` matmuls, ``np.copyto`` masking — exact for the 0/1 padding
+    masks), so the per-timestep cost is kernel work, not allocator churn.  Returns the (B, L, H) hidden
     sequence plus the cache for :func:`lstm_sequence_backward` —
     ``need_cache=False`` (the no-grad inference path) skips the
     sequence-sized cache allocations and returns ``None`` for it.
@@ -641,9 +594,6 @@ def binary_concrete_backward(grad: np.ndarray, cache: tuple) -> np.ndarray:
 # Registration with the numpy backend
 # ----------------------------------------------------------------------
 _KERNELS = {
-    "lstm_step_forward": lstm_step_forward,
-    "lstm_step_backward_h": lstm_step_backward_h,
-    "lstm_step_backward_c": lstm_step_backward_c,
     "lstm_sequence_forward": lstm_sequence_forward,
     "lstm_sequence_backward": lstm_sequence_backward,
     "gru_sequence_forward": gru_sequence_forward,

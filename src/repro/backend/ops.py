@@ -1,7 +1,6 @@
 """Autograd-level fused operations.
 
-Each function here builds *one* (or two, for the LSTM step) graph node
-backed by the active backend's fused kernels, instead of the chain of
+Each function here builds *one* graph node backed by the active backend's fused kernels, instead of the chain of
 elementary nodes the composed reference implementations in
 :mod:`repro.autograd` create.  The thin wrappers in
 :mod:`repro.autograd.functional` dispatch to these when
@@ -22,23 +21,6 @@ from repro.autograd.tensor import Tensor, is_grad_enabled
 from repro.backend.core import get_backend
 
 
-def fused_lstm_step(gates: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """LSTM step ``(gates, c) -> (h', c')`` as two fused graph nodes.
-
-    ``gates`` is the full (B, 4H) pre-activation ``x @ W_ih + h @ W_hh + b``
-    laid out ``[input, forget, cell, output]``.  The composed cell builds
-    ~15 graph nodes per step; this builds two, sharing one cached forward.
-    """
-    backend = get_backend()
-    forward = backend.kernel("lstm_step_forward")
-    backward_h = backend.kernel("lstm_step_backward_h")
-    backward_c = backend.kernel("lstm_step_backward_c")
-    h_data, c_data, cache = forward(gates.data, c_prev.data)
-    h_new = Tensor._make(h_data, (gates, c_prev), lambda grad: backward_h(grad, cache), "lstm_step_h")
-    c_new = Tensor._make(c_data, (gates, c_prev), lambda grad: backward_c(grad, cache), "lstm_step_c")
-    return h_new, c_new
-
-
 def fused_lstm_sequence(
     gates_x: Tensor,
     weight_hh: Tensor,
@@ -52,8 +34,8 @@ def fused_lstm_sequence(
     recurrent matmuls, gate math and padding carry run inside the kernel,
     and the backward is an explicit BPTT loop
     (:func:`repro.backend.kernels.lstm_sequence_backward`).  Step math is
-    identical to chaining :func:`fused_lstm_step`, but the graph holds a
-    single node per direction instead of O(L) nodes — this is what makes
+    identical to chaining the composed :class:`repro.nn.lstm.LSTMCell`,
+    but the graph holds a single node per direction instead of O(L) nodes — this is what makes
     the LSTM fast path scale.
     """
     backend = get_backend()

@@ -12,9 +12,6 @@ kernel — one graph node per direction with an explicit BPTT backward
 (:func:`repro.backend.ops.fused_lstm_sequence`); ``fused=False`` falls
 back to the composed per-step :meth:`LSTMCell.forward`, which doubles as
 the gradcheck reference and the seed-configuration benchmark baseline.
-(The single-step kernel, :func:`repro.backend.ops.fused_lstm_step`, is
-the reference building block the sequence kernel is validated against —
-it has no production caller.)
 """
 
 from __future__ import annotations

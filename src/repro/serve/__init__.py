@@ -1,7 +1,7 @@
 """repro.serve — stand a trained rationalizer up behind an HTTP JSON API.
 
 The subsystem behind the ROADMAP's "serve heavy traffic" north star, in
-four layers (bottom-up):
+layers (bottom-up):
 
 - :mod:`~repro.serve.registry` — the **model artifact registry**:
   discovers ``.npz`` checkpoints written by :func:`save_artifact`,
@@ -22,13 +22,14 @@ four layers (bottom-up):
   wave drain, versioned cache invalidation), canary/shadow routing with
   JSONL rationale diff logs (``python -m repro.experiments
   deploy-diff``), and cache warm-up replayed from an opt-in request
-  log.  Admin surface: ``POST /v1/deploy|promote|rollback|warm``,
-  ``GET /v1/deployments``.
-- :mod:`~repro.serve.http` — the **stdlib threaded HTTP JSON API**
-  (``POST /v1/rationalize`` — single or batched ``inputs`` form,
-  ``GET /v1/models``, ``GET /healthz``, ``GET /statz``, Prometheus
-  ``GET /metrics``, ``GET /tracez``), started via
-  ``python -m repro.experiments serve``.  Observability itself —
+  log.
+- :mod:`~repro.serve.ops` — the **operation table** :data:`OPS`: every
+  serve operation (rationalize and the lifecycle ops) declared once with
+  its route, body fields and fan-out; the HTTP edge, the router, the
+  shard workers and :class:`Client` all dispatch from it.
+- :mod:`~repro.serve.http` — the **stdlib threaded HTTP JSON API** over
+  the ops (plus Prometheus ``GET /metrics`` and ``GET /tracez``), started
+  via ``python -m repro.experiments serve``.  Observability itself —
   the metrics registry, Prometheus exposition and request tracing —
   lives in :mod:`repro.obs`; every layer here registers its counters
   and latency histograms there.

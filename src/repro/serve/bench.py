@@ -41,7 +41,6 @@ import os
 import tempfile
 import threading
 import time
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -247,8 +246,7 @@ def _scrape_metrics(service: RationalizationService) -> dict:
     bench rather than silently shipping an unscrapeable endpoint.
     """
     with RationaleServer(service, port=0) as server:
-        with urllib.request.urlopen(server.url + "/metrics", timeout=10.0) as response:
-            text = response.read().decode("utf-8")
+        text = Client(base_url=server.url, timeout_s=10.0).call("metrics")
     families = parse_prometheus(text)
     return {
         "text": text,
@@ -552,7 +550,7 @@ def run_deploy_smoke(
 
             rollback_row = client.rollback("deploy")
             probe_rolled_back = client.rationalize(model="deploy", token_ids=probe)
-            deployments = router.deployments()
+            deployments = client.deployments()
 
         phases = [baseline, shadow_phase, post_promote]
         diff = shadow_diff_report([shadow_glob])

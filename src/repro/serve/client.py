@@ -1,9 +1,11 @@
 """Client for the rationalization service — in-process or over HTTP.
 
-The same five calls work against either transport:
+:meth:`Client.call` runs any operation of :data:`repro.serve.ops.OPS`
+on either transport; the named methods (``rationalize``, ``deploy``,
+``health``, …) are one-line calls to it:
 
-- **in-process** (``Client(service=...)``) — calls the
-  :class:`~repro.serve.service.RationalizationService` (or a
+- **in-process** (``Client(service=...)``) — calls ``service.call`` on
+  the :class:`~repro.serve.service.RationalizationService` (or a
   :class:`~repro.serve.router.ShardRouter` — same surface) directly,
   still going through the cache and the micro-batching scheduler.  This
   is the load-generator / embedding-into-your-app mode.
@@ -21,14 +23,16 @@ status code on both transports: 429 = overloaded (admission control),
 from __future__ import annotations
 
 import json
+import os
 import socket
 import time
 import urllib.error
 import urllib.request
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.obs import MetricsRegistry
-from repro.serve.service import RationalizationService, RequestError
+from repro.serve.ops import OPS, RequestError
+from repro.serve.service import RationalizationService
 
 #: URLError reasons that mean "the connection itself failed" — the only
 #: failures worth one retry: the request never reached a worker, so
@@ -102,160 +106,97 @@ class Client:
         )
 
     # ------------------------------------------------------------------
-    def rationalize(
-        self,
-        model: Optional[str] = None,
-        token_ids: Optional[Sequence[int]] = None,
-        tokens: Optional[Sequence[str]] = None,
-        debug: bool = False,
-        request_id: Optional[str] = None,
-        version: Optional[str] = None,
-    ) -> dict:
+    def call(self, op: str, **body):
+        """Run serve operation ``op`` (a :data:`repro.serve.ops.OPS` name).
+
+        ``None`` values are dropped and the body is encoded as JSON
+        (numpy values and paths included) for both transports, so the
+        in-process service binds exactly what the socket would carry.  A
+        rejection raises :class:`ServeClientError` with the HTTP status.
+        A list result comes back unwrapped from its JSON envelope; the
+        ``metrics`` op answers the registry snapshot in-process and the
+        Prometheus text exposition over the socket.
+        """
+        spec = OPS.get(op)
+        if spec is None:
+            raise ServeClientError(f"unknown operation {op!r}", status=404)
+        unknown = set(body).difference(spec.fields)
+        if unknown:
+            raise TypeError(f"{op}() got unexpected field(s) {sorted(unknown)}")
+        data = json.dumps(
+            {key: value for key, value in body.items() if value is not None},
+            default=_jsonable,
+        )
+        if self._service is not None:
+            try:
+                return self._service.call(op, json.loads(data))
+            except RequestError as exc:
+                raise ServeClientError(str(exc), status=exc.status, detail=exc.detail) from exc
+        response = self._request(urllib.request.Request(
+            self._base_url + spec.route,
+            data=data.encode("utf-8") if spec.verb == "POST" else None,
+            headers={"Content-Type": "application/json"},
+        ))
+        return response[spec.envelope] if spec.envelope else response
+
+    def rationalize(self, model: Optional[str] = None, **body) -> dict:
         """``POST /v1/rationalize``: label + rationale for one sentence.
 
-        ``debug=True`` asks the server for a span-timeline ``trace``;
-        ``request_id`` (optional) pins the id minted at this edge so the
+        ``body`` carries the ``rationalize`` fields of
+        :data:`repro.serve.ops.OPS`: exactly one of ``token_ids`` /
+        ``tokens``; ``debug=True`` asks the server for a span-timeline
+        ``trace``; ``request_id`` pins the id minted at this edge so the
         response and server-side trace log correlate with client logs;
         ``version`` (or a ``model@version`` reference) pins an exact
         artifact version — the way a staged challenger is probed.
         """
-        if self._service is not None:
-            try:
-                return self._service.rationalize(
-                    model=model, token_ids=token_ids, tokens=tokens,
-                    debug=debug, request_id=request_id, version=version,
-                )
-            except RequestError as exc:
-                raise ServeClientError(str(exc), status=exc.status, detail=exc.detail) from exc
-        body = {"model": model}
-        if version is not None:
-            body["version"] = str(version)
-        if debug:
-            body["debug"] = True
-        if request_id is not None:
-            body["request_id"] = request_id
-        if token_ids is not None:
-            # Unwrap numpy scalars to JSON-native values without coercing:
-            # a float id must reach the server as a float so it is rejected
-            # rather than silently truncated to a different token.
-            body["token_ids"] = [t.item() if hasattr(t, "item") else t for t in token_ids]
-        if tokens is not None:
-            body["tokens"] = list(tokens)
-        return self._post("/v1/rationalize", body)
+        return self.call("rationalize", model=model, **body)
 
-    def rationalize_many(
-        self,
-        model: Optional[str] = None,
-        inputs: Optional[Sequence] = None,
-        debug: bool = False,
-        request_id: Optional[str] = None,
-        version: Optional[str] = None,
-    ) -> dict:
-        """Batched ``POST /v1/rationalize``: one round trip, one scheduler
-        wave; returns ``{"results": [...], "count": ..., "cached_count": ...}``
-        with a per-item ``cached`` flag."""
-        if self._service is not None:
-            try:
-                return self._service.rationalize_many(
-                    model=model, inputs=inputs, debug=debug,
-                    request_id=request_id, version=version,
-                )
-            except RequestError as exc:
-                raise ServeClientError(str(exc), status=exc.status, detail=exc.detail) from exc
-        items = []
-        for item in inputs or ():
-            if isinstance(item, dict):
-                items.append(item)
-            else:
-                items.append([t.item() if hasattr(t, "item") else t for t in item])
-        body = {"model": model, "inputs": items}
-        if version is not None:
-            body["version"] = str(version)
-        if debug:
-            body["debug"] = True
-        if request_id is not None:
-            body["request_id"] = request_id
-        return self._post("/v1/rationalize", body)
+    def rationalize_many(self, model: Optional[str] = None, **body) -> dict:
+        """Batched ``POST /v1/rationalize`` (``inputs=[...]`` plus the
+        ``debug`` / ``request_id`` / ``version`` fields): one round trip,
+        one scheduler wave; returns ``{"results": [...], "count": ...,
+        "cached_count": ...}`` with a per-item ``cached`` flag."""
+        return self.call("rationalize_many", model=model, **body)
 
-    # ------------------------------------------------------------------
-    # Lifecycle admin helpers (same dual-transport pattern)
-    # ------------------------------------------------------------------
-    def _admin(self, method: str, path: str, body: dict):
-        """Dispatch one admin call on whichever transport is bound."""
-        body = {k: v for k, v in body.items() if v is not None}
-        if self._service is not None:
-            try:
-                return getattr(self._service, method)(**body)
-            except RequestError as exc:
-                raise ServeClientError(str(exc), status=exc.status, detail=exc.detail) from exc
-        return self._post(path, body)
-
-    def deploy(
-        self,
-        model: str,
-        path: str,
-        version: Optional[str] = None,
-        canary_fraction: float = 0.0,
-        shadow: bool = False,
-        diff_log: Optional[str] = None,
-        warm: bool = False,
-    ) -> dict:
+    def deploy(self, model: str, path: str, **options) -> dict:
         """``POST /v1/deploy``: stage a challenger version of ``model``.
 
-        ``canary_fraction`` diverts that share of live traffic to it;
-        ``shadow=True`` mirrors champion traffic into ``diff_log`` for
-        the offline ``deploy-diff`` report; ``warm=True`` replays the
-        server's request log through the challenger's cache first.
+        ``version`` pins the new version's name; ``canary_fraction``
+        diverts that share of live traffic to it; ``shadow=True``
+        mirrors champion traffic into ``diff_log`` for the offline
+        ``deploy-diff`` report; ``warm=True`` replays the server's
+        request log through the challenger's cache first.
         """
-        return self._admin(
-            "deploy",
-            "/v1/deploy",
-            {
-                "model": model,
-                "path": str(path),
-                "version": version,
-                "canary_fraction": canary_fraction or None,
-                "shadow": shadow or None,
-                "diff_log": diff_log,
-                "warm": warm or None,
-            },
-        )
+        return self.call("deploy", model=model, path=path, **options)
 
     def promote(self, model: str, version: Optional[str] = None) -> dict:
         """``POST /v1/promote``: flip the live pointer (zero downtime)."""
-        return self._admin("promote", "/v1/promote", {"model": model, "version": version})
+        return self.call("promote", model=model, version=version)
 
     def rollback(self, model: str) -> dict:
         """``POST /v1/rollback``: restore the retained previous version."""
-        return self._admin("rollback", "/v1/rollback", {"model": model})
+        return self.call("rollback", model=model)
 
     def warm(self, model: str, version: Optional[str] = None) -> dict:
         """``POST /v1/warm``: replay the request log through a version."""
-        return self._admin("warm", "/v1/warm", {"model": model, "version": version})
+        return self.call("warm", model=model, version=version)
 
     def deployments(self) -> list[dict]:
         """``GET /v1/deployments``: per-version lifecycle state rows."""
-        if self._service is not None:
-            return self._service.deployments()
-        return self._get("/v1/deployments")["deployments"]
+        return self.call("deployments")
 
     def models(self) -> list[dict]:
         """``GET /v1/models``: one metadata row per loaded artifact."""
-        if self._service is not None:
-            return self._service.describe_models()
-        return self._get("/v1/models")["models"]
+        return self.call("models")
 
     def health(self) -> dict:
         """``GET /healthz``."""
-        if self._service is not None:
-            return self._service.health()
-        return self._get("/healthz")
+        return self.call("health")
 
     def stats(self) -> dict:
         """``GET /statz``: cache, scheduler and latency statistics."""
-        if self._service is not None:
-            return self._service.stats()
-        return self._get("/statz")
+        return self.call("stats")
 
     def transport_stats(self) -> dict:
         """Socket-transport health counters (all zero for in-process) —
@@ -276,13 +217,16 @@ class Client:
         reason = getattr(exc, "reason", None)
         return isinstance(reason, (socket.timeout, TimeoutError))
 
-    def _request(self, request: urllib.request.Request) -> dict:
+    def _request(self, request: urllib.request.Request):
         self._m_requests.inc()
         attempts = self.retries + 1
         for attempt in range(attempts):
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
-                    return json.loads(response.read().decode("utf-8"))
+                    text = response.read().decode("utf-8")
+                    if response.headers.get_content_type() == "application/json":
+                        return json.loads(text)
+                    return text
             except urllib.error.HTTPError as exc:
                 self._m_http_errors.inc()
                 detail = None
@@ -312,12 +256,13 @@ class Client:
                 time.sleep(self.retry_backoff_s)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _get(self, path: str) -> dict:
-        return self._request(urllib.request.Request(self._base_url + path))
 
-    def _post(self, path: str, body: dict) -> dict:
-        data = json.dumps(body).encode("utf-8")
-        request = urllib.request.Request(
-            self._base_url + path, data=data, headers={"Content-Type": "application/json"}
-        )
-        return self._request(request)
+def _jsonable(value):
+    """``json.dumps`` fallback for numpy scalars/arrays and paths.  A
+    float id stays a float so the server rejects it rather than
+    truncating it to a different token."""
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    if isinstance(value, os.PathLike):
+        return os.fspath(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")

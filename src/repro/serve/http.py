@@ -1,31 +1,22 @@
 """Stdlib-only threaded HTTP JSON API over the rationalization service.
 
-Endpoints::
+Every JSON endpoint is an operation of :data:`repro.serve.ops.OPS`: the
+edge looks the ``(verb, route)`` pair up in the table and hands the
+parsed body to ``service.call(op, body)``.  ``POST /v1/rationalize``
+serves ``rationalize_many`` when the body carries ``inputs``.  Two
+routes are rendered here as text: ``GET /metrics`` (Prometheus text
+exposition of the ``metrics`` op) and ``GET /tracez`` (ring-buffered
+debug traces as JSONL).
 
-    POST /v1/rationalize   {"model": "...", "token_ids": [...]} or {"tokens": [...]}
-                           or the batched form {"model": "...", "inputs": [item, ...]};
-                           add "debug": true for a span-timeline trace and
-                           "version": "..." (or "model@version") to pin a version
-    POST /v1/deploy        {"model", "path", "version"?, "canary_fraction"?,
-                            "shadow"?, "diff_log"?, "warm"?} — stage a challenger
-    POST /v1/promote       {"model", "version"?} — flip the live pointer
-    POST /v1/rollback      {"model"} — restore the previous version
-    POST /v1/warm          {"model", "version"?} — replay the request log
-    GET  /v1/deployments   per-version lifecycle state (staged/canary/live/retired)
-    GET  /v1/models        loaded artifacts and their metadata
-    GET  /healthz          liveness + loaded model names
-    GET  /statz            cache / scheduler / latency statistics (JSON)
-    GET  /metrics          Prometheus text exposition from the metrics registry
-    GET  /tracez           ring-buffered debug traces as JSONL
+A request error answers its own status with ``{"error": ...}``, plus a
+machine-readable ``detail`` where the service gives one — a deploy of
+an incompatible checkpoint answers 409 whose ``detail`` carries the
+artifact's ``format_version`` / ``repro_version``.
 
-Admin errors carry machine-readable context: a deploy of an incompatible
-checkpoint answers 409 whose body includes ``detail`` with the artifact's
-``format_version`` / ``repro_version``.
-
-Every POST gets a request id (client-supplied ``request_id`` or minted
-here at the edge) that propagates router → worker → scheduler wave and
-comes back in the response; HTTP-level traffic is itself counted in the
-service registry as ``repro_http_requests_total{route,status}``.
+A rationalize request's ``request_id`` (the client's, or minted by the
+first tier that sees it) propagates router → worker → scheduler wave
+and comes back in the response; HTTP-level traffic is itself counted in
+the service registry as ``repro_http_requests_total{route,status}``.
 
 The server is a :class:`http.server.ThreadingHTTPServer` — one thread per
 connection, which is exactly the concurrency shape the micro-batching
@@ -33,7 +24,7 @@ scheduler coalesces: N handler threads block on their futures while the
 scheduler worker runs one batched forward pass.  The attached service is
 either a single-process :class:`RationalizationService` or, for the
 sharded tier (``--workers N``), a :class:`repro.serve.router.ShardRouter`
-— both expose the same surface, including typed overload (429) and
+— both expose the same ``call``, including typed overload (429) and
 shutdown (503) rejections.  No third-party dependencies;
 ``python -m repro.experiments serve`` is the CLI entry.
 """
@@ -46,22 +37,26 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from repro.obs import CONTENT_TYPE as _PROM_CONTENT_TYPE
-from repro.obs import new_request_id, render_prometheus
-from repro.serve.service import RationalizationService, RequestError
+from repro.obs import render_prometheus
+from repro.serve.ops import OPS, Op, RequestError
+from repro.serve.service import RationalizationService
 
 _MAX_BODY_BYTES = 1 << 20  # 1 MiB: single sentences, not documents
 
-#: POST route -> (service method, accepted JSON body keys).  Unknown keys
-#: are ignored rather than 400d so old servers tolerate newer clients.
-_ADMIN_POST_ROUTES = {
-    "/v1/deploy": (
-        "deploy",
-        ("model", "path", "version", "canary_fraction", "shadow", "diff_log", "warm"),
-    ),
-    "/v1/promote": ("promote", ("model", "version")),
-    "/v1/rollback": ("rollback", ("model",)),
-    "/v1/warm": ("warm", ("model", "version")),
-}
+#: ``(verb, route) -> op``; ``/v1/rationalize`` maps to ``rationalize``
+#: (the first op declared on it, hence the reversed walk) and switches
+#: by body in :func:`_select`.
+_ROUTES = {(op.verb, op.route): op for op in reversed(OPS.values())}
+
+
+def _select(op: Op, body: dict) -> Op:
+    """The op a ``POST /v1/rationalize`` body addresses: the batched
+    form ``{"inputs": [...]}`` is ``rationalize_many``."""
+    if op.name != "rationalize" or "inputs" not in body:
+        return op
+    if body.get("token_ids") is not None or body.get("tokens") is not None:
+        raise RequestError("'inputs' is mutually exclusive with 'token_ids'/'tokens'")
+    return OPS["rationalize_many"]
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -79,12 +74,7 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _send_json(self, payload: dict, status: int = 200) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_text(json.dumps(payload), "application/json", status)
 
     def _send_text(self, text: str, content_type: str, status: int = 200) -> None:
         body = text.encode("utf-8")
@@ -103,15 +93,18 @@ class _Handler(BaseHTTPRequestHandler):
         ).inc(route=route, status=str(status))
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise RequestError("request body required")
-        if length > _MAX_BODY_BYTES:
+        length = self.headers.get("Content-Length", "")
+        size = int(length) if length.isdecimal() else 0
+        if not 0 < size <= _MAX_BODY_BYTES:
             # The body stays unread; drop the connection after replying so
             # a keep-alive client cannot desync on the leftover bytes.
             self.close_connection = True
-            raise RequestError(f"request body too large (> {_MAX_BODY_BYTES} bytes)", status=413)
-        raw = self.rfile.read(length)
+            if size > _MAX_BODY_BYTES:
+                raise RequestError(
+                    f"request body too large (> {_MAX_BODY_BYTES} bytes)", status=413
+                )
+            raise RequestError("request body required, with an integer Content-Length")
+        raw = self.rfile.read(size)
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -122,83 +115,39 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routes ---------------------------------------------------------
     def do_GET(self) -> None:
-        """Dispatch the read-only endpoints."""
+        """Dispatch the read-only ops, ``/metrics`` and ``/tracez``."""
+        self._dispatch("GET")
+
+    def do_POST(self) -> None:
+        """Dispatch the POST ops (rationalize and the lifecycle ops)."""
+        self._dispatch("POST")
+
+    def _dispatch(self, verb: str) -> None:
         route = self.path
+        op = _ROUTES.get((verb, route))
+        status = 200
         try:
-            if route == "/healthz":
-                self._send_json(self.service.health())
-            elif route == "/statz":
-                self._send_json(self.service.stats())
-            elif route == "/metrics":
-                text = render_prometheus(self.service.metrics_snapshot())
-                self._send_text(text, _PROM_CONTENT_TYPE)
-            elif route == "/tracez":
+            if op is None and (verb, route) != ("GET", "/tracez"):
+                route = "unknown"
+                if verb == "POST":
+                    # The body stays unread: close afterwards so a
+                    # keep-alive client cannot desync on the leftover bytes.
+                    self.close_connection = True
+                raise RequestError(f"no route {self.path!r}", status=404)
+            if op is None:
                 lines = self.service.trace_log.lines()
                 self._send_text(
                     "\n".join(lines) + ("\n" if lines else ""),
                     "application/x-ndjson; charset=utf-8",
                 )
-            elif route == "/v1/models":
-                self._send_json({"models": self.service.describe_models()})
-            elif route == "/v1/deployments":
-                self._send_json({"deployments": self.service.deployments()})
+            elif op.name == "metrics":
+                text = render_prometheus(self.service.call("metrics", {}))
+                self._send_text(text, _PROM_CONTENT_TYPE)
             else:
-                route = "unknown"
-                self._send_json({"error": f"no route {self.path!r}"}, status=404)
-                self._count(route, 404)
-                return
-            self._count(route, 200)
-        except Exception as exc:  # pragma: no cover - defensive
-            self._send_json({"error": str(exc)}, status=500)
-            self._count(route, 500)
-
-    def do_POST(self) -> None:
-        """Dispatch ``POST /v1/rationalize`` and the lifecycle admin routes."""
-        route = self.path
-        if route != "/v1/rationalize" and route not in _ADMIN_POST_ROUTES:
-            # The body stays unread: close afterwards so a keep-alive
-            # client cannot desync on the leftover bytes.
-            self.close_connection = True
-            self._send_json({"error": f"no route {self.path!r}"}, status=404)
-            self._count("unknown", 404)
-            return
-        status = 200
-        try:
-            payload = self._read_json()
-            if route in _ADMIN_POST_ROUTES:
-                method, allowed = _ADMIN_POST_ROUTES[route]
-                kwargs = {key: payload[key] for key in allowed if key in payload}
-                self._send_json(getattr(self.service, method)(**kwargs))
-                self._count(route, status)
-                return
-            # The edge mints the request id (unless the client brought its
-            # own) so a trace spans every layer from the first byte in.
-            debug = bool(payload.get("debug", False))
-            request_id = payload.get("request_id") or new_request_id()
-            if "inputs" in payload:
-                # Batched form: {"model": ..., "inputs": [item, ...]} —
-                # the scheduler waves the whole payload as one batch.
-                if payload.get("token_ids") is not None or payload.get("tokens") is not None:
-                    raise RequestError(
-                        "'inputs' is mutually exclusive with 'token_ids'/'tokens'"
-                    )
-                response = self.service.rationalize_many(
-                    model=payload.get("model"),
-                    inputs=payload.get("inputs"),
-                    debug=debug,
-                    request_id=request_id,
-                    version=payload.get("version"),
-                )
-            else:
-                response = self.service.rationalize(
-                    model=payload.get("model"),
-                    token_ids=payload.get("token_ids"),
-                    tokens=payload.get("tokens"),
-                    debug=debug,
-                    request_id=request_id,
-                    version=payload.get("version"),
-                )
-            self._send_json(response)
+                body = self._read_json() if verb == "POST" else {}
+                op = _select(op, body)
+                result = self.service.call(op.name, body)
+                self._send_json({op.envelope: result} if op.envelope else result)
         except RequestError as exc:
             status = exc.status
             body = {"error": str(exc)}

@@ -1,10 +1,11 @@
 """Front router for the sharded serving tier: admission, routing, respawn.
 
 :class:`ShardRouter` owns the client-facing surface of a multi-process
-deployment and duck-types :class:`repro.serve.service.RationalizationService`
-(``rationalize`` / ``rationalize_many`` / ``health`` / ``stats`` /
-``describe_models`` / ``close``), so the HTTP layer and
-:class:`repro.serve.Client` work unchanged against one process or N.
+deployment.  Its one entry point, :meth:`ShardRouter.call`, serves every
+operation of :data:`repro.serve.ops.OPS` with the same contract as
+:meth:`repro.serve.service.RationalizationService.call`, so the HTTP
+layer and :class:`repro.serve.Client` work unchanged against one process
+or N.  The op table's ``fanout`` decides where an op runs.
 
 Three responsibilities:
 
@@ -29,16 +30,15 @@ accepted in-flight requests, schedulers stop, processes are joined — no
 orphans (``tests/serve/test_shard.py`` asserts via
 ``multiprocessing.active_children``).
 
-Model lifecycle: the router also duck-types the admin surface
-(``deploy`` / ``promote`` / ``rollback`` / ``warm`` / ``deployments``).
-Each shard runs its own :class:`~repro.serve.lifecycle.DeploymentManager`,
-so an admin call is a **fleet broadcast**: shard 0 validates first (an
-incompatible artifact answers its 409 before any other shard is
-touched), then the op fans out to the rest.  Every applied op lands in
-an in-memory journal that :meth:`ShardRouter._on_worker_death` replays
-into a respawned worker — a shard killed mid-deploy reconverges with the
-fleet's version state from its ``WorkerConfig`` checkpoints plus the
-journal, which the lifecycle test suite proves with a SIGKILL.
+Model lifecycle: each shard runs its own
+:class:`~repro.serve.lifecycle.DeploymentManager`, so a lifecycle op is
+a **fleet broadcast**: shard 0 validates first (an incompatible artifact
+answers its 409 before any other shard is touched), then the op fans out
+to the rest.  Every applied op lands in an in-memory journal that
+:meth:`ShardRouter._on_worker_death` replays into a respawned worker — a
+shard killed mid-deploy reconverges with the fleet's version state from
+its ``WorkerConfig`` checkpoints plus the journal, which the lifecycle
+test suite proves with a SIGKILL.
 """
 
 from __future__ import annotations
@@ -60,23 +60,14 @@ from repro.obs import (
     new_request_id,
     splice_spans,
 )
-from repro.serve.service import RequestError
+from repro.serve.ops import OPS, RequestError, bind
 from repro.serve.shard import (
-    MSG_DEPLOY,
-    MSG_DEPLOYMENTS,
     MSG_ERROR,
     MSG_EXIT,
     MSG_FATAL,
-    MSG_METRICS,
-    MSG_PROMOTE,
-    MSG_RATIONALIZE,
-    MSG_RATIONALIZE_MANY,
     MSG_READY,
     MSG_RESULT,
-    MSG_ROLLBACK,
     MSG_SHUTDOWN,
-    MSG_STATS,
-    MSG_WARM,
     WorkerConfig,
     spawn_worker,
 )
@@ -136,28 +127,26 @@ class _WorkerHandle:
         self._dead = False
 
     # -- dispatch -------------------------------------------------------
-    def try_dispatch(self, kind: str, payload: dict, weight: int = 1,
-                     force: bool = False) -> Optional[Future]:
+    def try_dispatch(self, kind: str, payload: dict, weight: int = 1) -> Optional[Future]:
         """Admit-and-send atomically; ``None`` when at budget or closed.
 
         ``weight`` is the number of items the request carries (a batched
-        payload counts each input against the budget); ``force`` bypasses
-        admission for control traffic (stats probes).
+        payload counts each input against the budget); weight 0 marks
+        control traffic (probes, broadcasts), which bypasses admission.
         """
         future: Future = Future()
         with self._lock:
             if self._closed or self._dead:
                 return None
-            if not force and self._inflight_weight >= self.budget:
+            if weight and self._inflight_weight >= self.budget:
                 return None
             self._next_id += 1
             request_id = self._next_id
             self._inflight[request_id] = (future, weight)
             self._inflight_weight += weight
         if weight > 0:
-            # Control-plane probes (stats/metrics, weight 0) are not
-            # requests: a scrape must not inflate the traffic counters
-            # it reports.
+            # Control traffic is not requests: a scrape must not
+            # inflate the traffic counters it reports.
             self._m_dispatched.inc(worker=self._label)
         self.request_q.put((kind, request_id, payload))
         return future
@@ -335,7 +324,7 @@ class ShardRouter:
         )
         self._m_admin = self.metrics.counter(
             "repro_router_admin_total",
-            "Admin (deploy/promote/rollback/warm) ops applied fleet-wide.",
+            "Broadcast (lifecycle) ops applied fleet-wide.",
             ("op",),
         )
         self.metrics.gauge(
@@ -469,24 +458,16 @@ class ShardRouter:
             replacement.reap(5.0)
 
     def _replay_journal(self, handle: _WorkerHandle) -> None:
-        """Re-apply every journaled admin op to a freshly spawned worker.
-
-        The replacement booted from the boot-time checkpoints only; the
-        journal carries it through every deploy/promote/rollback the
-        fleet has applied since, so a worker SIGKILLed mid-deploy
-        converges to the same live version as its peers.  Best-effort:
-        a replay failure leaves the shard serving its boot state, which
-        the next admin broadcast surfaces as a partial-apply error.
-        """
+        """Re-apply every journaled broadcast op to a freshly spawned
+        worker (see the module docstring).  Best-effort: a replay failure
+        leaves the shard serving its boot state, which the next broadcast
+        surfaces as a partial-apply error."""
         with self._lock:
             journal = list(self._admin_journal)
-        for kind, payload in journal:
-            future = handle.try_dispatch(kind, payload, weight=0, force=True)
-            if future is None:
-                return
+        for op, payload in journal:
             try:
-                future.result(timeout=self.admin_timeout_s)
-            except Exception:
+                self._admin_one(handle, op, payload)
+            except RequestError:
                 continue
 
     # ------------------------------------------------------------------
@@ -518,13 +499,11 @@ class ShardRouter:
             f"{self.max_inflight_per_worker}"
         )
 
-    def _await(self, future: Future):
+    def _await(self, future: Future, timeout_s: float, what: str = "request"):
         try:
-            return future.result(timeout=self.request_timeout_s)
+            return future.result(timeout=timeout_s)
         except FutureTimeoutError:
-            raise RequestError(
-                f"request timed out after {self.request_timeout_s}s", status=504
-            ) from None
+            raise RequestError(f"{what} timed out after {timeout_s}s", status=504) from None
 
     def _stitch(self, trace: Trace, response: dict, start: float) -> dict:
         """Replace the router's coarse ``worker`` span with the shard's
@@ -543,217 +522,128 @@ class ShardRouter:
         response["latency_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
         return response
 
-    def rationalize(
-        self,
-        model: Optional[str] = None,
-        token_ids: Optional[Sequence[int]] = None,
-        tokens: Optional[Sequence[str]] = None,
-        debug: bool = False,
-        request_id: Optional[str] = None,
-        version: Optional[str] = None,
-    ) -> dict:
-        """Route one request to a shard; same contract as the service."""
-        start = time.perf_counter()
-        request_id = request_id or new_request_id()
-        trace = Trace(request_id, start=start) if debug else None
-        payload: dict = {"model": model, "request_id": request_id}
-        if version is not None:
-            payload["version"] = str(version)
-        if debug:
-            payload["debug"] = True
-        if token_ids is not None:
-            # Unwrap numpy scalars without coercing: a float id must reach
-            # the shard's validator as a float so it is rejected, not
-            # silently truncated to a different token.
-            payload["token_ids"] = [t.item() if hasattr(t, "item") else t for t in token_ids]
-        if tokens is not None:
-            payload["tokens"] = list(tokens)
-        key = tuple(payload.get("token_ids") or payload.get("tokens") or ())
-        future = self._dispatch(
-            MSG_RATIONALIZE, payload, weight=1, preferred=self._affinity(model, key)
-        )
-        if trace is None:
-            return self._await(future)
-        trace.mark("admission")
-        response = self._await(future)
-        trace.mark("worker")
-        return self._stitch(trace, response, start)
+    def call(self, op: str, body: dict):
+        """Serve operation ``op`` (a :data:`repro.serve.ops.OPS` name)
+        where its ``fanout`` says; the body is bound here, before any
+        shard is touched."""
+        kwargs = bind(op, body)
+        spec = OPS[op]
+        if spec.fanout == "route":
+            return self._route(op, kwargs)
+        if spec.fanout == "broadcast":
+            return self._broadcast(op, kwargs)
+        if spec.fanout == "first":
+            # Shards converge through broadcast + journal replay, so any
+            # shard's view is the fleet's.
+            for _, answer in self.probe(op):
+                if answer is not None:
+                    return answer
+            raise WorkerDiedError(f"no worker answered {op!r}")
+        return getattr(self, spec.method or op)(**kwargs)
 
-    def rationalize_many(
-        self,
-        model: Optional[str] = None,
-        inputs: Sequence = (),
-        debug: bool = False,
-        request_id: Optional[str] = None,
-        version: Optional[str] = None,
-    ) -> dict:
-        """Route one batched payload to a single shard (one wave there)."""
+    def _route(self, op: str, payload: dict) -> dict:
+        """Send one request to a shard by cache affinity; a batched
+        payload lands on a single shard (one wave there) and counts each
+        input against the admission budget."""
         start = time.perf_counter()
-        request_id = request_id or new_request_id()
-        trace = Trace(request_id, start=start) if debug else None
-        items = list(inputs or ())
-        if not items:
+        payload.setdefault("request_id", new_request_id())
+        trace = Trace(payload["request_id"], start=start) if payload.get("debug") else None
+        items = payload.get("inputs")
+        if items is None:
+            weight = 1
+            key = tuple(payload.get("token_ids") or payload.get("tokens") or ())
+        elif not items:
             raise RequestError("'inputs' must be a non-empty list")
-        first = items[0]
-        key = (len(items), tuple(first) if isinstance(first, (list, tuple)) else str(first))
-        payload = {"model": model, "inputs": items, "request_id": request_id}
-        if version is not None:
-            payload["version"] = str(version)
-        if debug:
-            payload["debug"] = True
+        else:
+            weight = len(items)
+            first = items[0]
+            key = (weight, tuple(first) if isinstance(first, (list, tuple)) else str(first))
         future = self._dispatch(
-            MSG_RATIONALIZE_MANY,
-            payload,
-            weight=len(items),
-            preferred=self._affinity(model, key),
+            op, payload, weight=weight, preferred=self._affinity(payload.get("model"), key)
         )
         if trace is None:
-            return self._await(future)
+            return self._await(future, self.request_timeout_s)
         trace.mark("admission")
-        response = self._await(future)
+        response = self._await(future, self.request_timeout_s)
         trace.mark("worker")
         return self._stitch(trace, response, start)
 
     # ------------------------------------------------------------------
-    # Admin surface (fleet broadcast; duck-typed with the service)
+    # Fleet broadcast and probes (control plane: weight 0)
     # ------------------------------------------------------------------
-    def _admin_one(self, handle: _WorkerHandle, kind: str, payload: dict):
-        """Apply one admin op on one shard (control plane: weight 0)."""
-        future = handle.try_dispatch(kind, payload, weight=0, force=True)
+    def _admin_one(self, handle: _WorkerHandle, op: str, payload: dict):
+        """Apply one broadcast op on one shard."""
+        future = handle.try_dispatch(op, payload, weight=0)
         if future is None:
             raise WorkerDiedError(
                 f"worker {handle.worker_id} is not accepting control messages"
             )
-        try:
-            return future.result(timeout=self.admin_timeout_s)
-        except FutureTimeoutError:
-            raise RequestError(
-                f"worker {handle.worker_id} did not apply {kind!r} within "
-                f"{self.admin_timeout_s}s",
-                status=504,
-            ) from None
+        return self._await(future, self.admin_timeout_s, f"{op!r} on worker {handle.worker_id}")
 
-    def _admin(self, kind: str, payload: dict) -> dict:
-        """Broadcast one admin op: shard 0 validates, then the rest apply.
-
-        Shard 0 acts as the fleet's validator — an op it rejects (409
-        incompatible artifact, illegal transition, unknown version)
-        propagates to the caller with **no other shard touched**.  Once
-        it succeeds the op is journaled (respawn convergence) and fanned
-        out; a straggler failure after that reports 500 with the partial
-        state named, so the operator can re-issue or drop the shard.
-        """
+    def _broadcast(self, op: str, payload: dict) -> dict:
+        """Broadcast one op: shard 0 validates, then the rest apply (see
+        the module docstring).  A straggler failure after shard 0
+        succeeded reports 500 with the partial state named, so the
+        operator can re-issue or drop the shard.  A deploy without a
+        ``version`` lets each shard mint the next numeric one —
+        deterministic given the identical history the journal keeps."""
         with self._lock:
             if self._closed:
                 raise RequestError("server shutting down", status=503)
             handles = list(self._handles)
-        result = self._admin_one(handles[0], kind, payload)
+        result = self._admin_one(handles[0], op, payload)
         with self._lock:
-            self._admin_journal.append((kind, dict(payload)))
+            self._admin_journal.append((op, dict(payload)))
         failures = []
         for handle in handles[1:]:
             try:
-                self._admin_one(handle, kind, payload)
+                self._admin_one(handle, op, payload)
             except RequestError as exc:
                 failures.append(f"worker {handle.worker_id}: {exc}")
         if failures:
             raise RequestError(
-                f"{kind!r} applied on worker {handles[0].worker_id} but failed on: "
+                f"{op!r} applied on worker {handles[0].worker_id} but failed on: "
                 + "; ".join(failures),
                 status=500,
             )
-        self._m_admin.inc(op=kind)
+        self._m_admin.inc(op=op)
         if isinstance(result, dict):
             result = dict(result)
             result["workers"] = len(handles)
         return result
 
-    def deploy(
-        self,
-        model: Optional[str] = None,
-        path: Optional[str] = None,
-        version: Optional[str] = None,
-        canary_fraction: float = 0.0,
-        shadow: bool = False,
-        diff_log: Optional[str] = None,
-        warm: bool = False,
-    ) -> dict:
-        """Stage a challenger version on every shard (``POST /v1/deploy``).
+    def probe(self, op: str, worker_timeout_s: float = 5.0) -> list:
+        """Ask every shard for a read-only op, bypassing admission so an
+        overloaded tier still answers its own diagnosis (the unmerged
+        per-shard view, for consistency checks).
 
-        With ``version=None`` each shard mints the next numeric version —
-        deterministic given identical version history, which the journal
-        replay guarantees.  ``diff_log`` is a base path; every shard
-        appends to its own ``.wN``-suffixed file.
+        Returns ``[(handle, answer), ...]`` in worker order; a shard that
+        is down, shutting down, or silent past ``worker_timeout_s``
+        answers ``None``.
         """
-        payload = {
-            "model": model,
-            "path": path,
-            "version": version,
-            "canary_fraction": canary_fraction,
-            "shadow": shadow,
-            "diff_log": diff_log,
-            "warm": warm,
-        }
-        return self._admin(MSG_DEPLOY, payload)
-
-    def promote(self, model: Optional[str] = None, version: Optional[str] = None) -> dict:
-        """Flip the live pointer fleet-wide (``POST /v1/promote``)."""
-        return self._admin(MSG_PROMOTE, {"model": model, "version": version})
-
-    def rollback(self, model: Optional[str] = None) -> dict:
-        """Restore the previous version fleet-wide (``POST /v1/rollback``)."""
-        return self._admin(MSG_ROLLBACK, {"model": model})
-
-    def warm(self, model: Optional[str] = None, version: Optional[str] = None) -> dict:
-        """Replay each shard's own request log through a version's cache."""
-        return self._admin(MSG_WARM, {"model": model, "version": version})
-
-    def deployments(self, worker_timeout_s: float = 5.0) -> list[dict]:
-        """``GET /v1/deployments`` rows (first shard that answers).
-
-        Shards converge through broadcast + journal replay, so any
-        shard's view is the fleet's; :meth:`fleet_deployments` exposes
-        the unmerged per-shard rows for consistency checks.
-        """
-        for rows in self.fleet_deployments(worker_timeout_s).values():
-            if rows is not None:
-                return rows
-        return []
-
-    def fleet_deployments(self, worker_timeout_s: float = 5.0) -> dict:
-        """Per-shard deployment rows: ``{worker_id: rows_or_None}``."""
-        handles = self._snapshot_handles()
-        probes = [
-            (h, h.try_dispatch(MSG_DEPLOYMENTS, {}, weight=0, force=True))
-            for h in handles
-        ]
-        views: dict[int, Optional[list]] = {}
-        for handle, probe in probes:
-            rows = None
-            if probe is not None:
-                try:
-                    rows = probe.result(timeout=worker_timeout_s)
-                except Exception:
-                    rows = None
-            views[handle.worker_id] = rows
-        return views
+        probes = [(h, h.try_dispatch(op, {}, weight=0)) for h in self._snapshot_handles()]
+        answers = []
+        for handle, future in probes:
+            try:
+                answer = None if future is None else future.result(timeout=worker_timeout_s)
+            except (RequestError, FutureTimeoutError):
+                answer = None
+            answers.append((handle, answer))
+        return answers
 
     # ------------------------------------------------------------------
-    # Introspection (same surface the single-process service exposes)
+    # Router-local ops
     # ------------------------------------------------------------------
     def describe_models(self) -> list[dict]:
         """``GET /v1/models`` rows (identical artifacts on every shard)."""
-        with self._lock:
-            handles = list(self._handles)
-        for handle in handles:
+        for handle in self._snapshot_handles():
             if handle.models:
                 return handle.models
         return []
 
     def health(self) -> dict:
         """``GET /healthz``: degraded (not dead) while a shard respawns."""
-        with self._lock:
-            handles = list(self._handles)
+        handles = self._snapshot_handles()
         alive = sum(1 for h in handles if h.alive)
         return {
             "status": "ok" if alive == len(handles) else "degraded",
@@ -766,10 +656,9 @@ class ShardRouter:
     def stats(self, worker_timeout_s: float = 5.0) -> dict:
         """Aggregated ``GET /statz``: router counters + per-shard stats.
 
-        Shard service stats (cache / scheduler / latency) travel over the
-        same queues as requests, bypassing admission so an overloaded
-        tier still answers its own diagnosis; a shard that cannot answer
-        within ``worker_timeout_s`` reports ``None``.
+        Shard service stats (cache / scheduler / latency) come from a
+        :meth:`probe`; a shard that cannot answer within
+        ``worker_timeout_s`` reports ``None``.
         """
         with self._lock:
             handles = list(self._handles)
@@ -787,21 +676,12 @@ class ShardRouter:
         router["alive_workers"] = sum(1 for h in handles if h.alive)
         router["inflight"] = sum(h.inflight for h in handles)
         router["queued"] = sum(max(h.queued(), 0) for h in handles)
-        probes = [
-            (h, h.try_dispatch(MSG_STATS, {}, weight=0, force=True)) for h in handles
-        ]
         workers = []
         cache_totals = {"hits": 0, "misses": 0, "evictions": 0, "size": 0}
         sched_totals = {"requests": 0, "waves": 0, "batches": 0, "batched_items": 0}
-        for handle, probe in probes:
+        for handle, service_stats in self.probe("stats", worker_timeout_s):
             row = handle.stats()
             row["queued"] = handle.queued()
-            service_stats = None
-            if probe is not None:
-                try:
-                    service_stats = probe.result(timeout=worker_timeout_s)
-                except Exception:
-                    service_stats = None
             row["service"] = service_stats
             if service_stats:
                 for k in cache_totals:
@@ -823,25 +703,18 @@ class ShardRouter:
     def metrics_snapshot(self, worker_timeout_s: float = 5.0) -> dict:
         """Fleet-wide metric snapshot for ``GET /metrics``.
 
-        Probes every shard with a ``metrics`` message (bypassing
-        admission, like stats probes) and merges the per-worker
-        registry snapshots bucket-wise into the router's own — counters
-        sum, gauges sum or max by declared mode, histograms add
-        per-bucket counts.  A shard that cannot answer within
+        Probes every shard for its ``metrics`` op (see :meth:`probe`)
+        and merges the per-worker registry snapshots bucket-wise into
+        the router's own — counters sum, gauges sum or max by declared
+        mode, histograms add per-bucket counts.  A shard that cannot answer within
         ``worker_timeout_s`` is simply missing from the merge.
         """
-        handles = self._snapshot_handles()
-        probes = [
-            (h, h.try_dispatch(MSG_METRICS, {}, weight=0, force=True)) for h in handles
-        ]
         snapshots = [self.metrics.snapshot()]
-        for handle, probe in probes:
-            if probe is None:
-                continue
-            try:
-                snapshots.append(probe.result(timeout=worker_timeout_s))
-            except Exception:
-                continue
+        snapshots += [
+            snapshot
+            for _, snapshot in self.probe("metrics", worker_timeout_s)
+            if snapshot is not None
+        ]
         return merge_snapshots(snapshots)
 
     # ------------------------------------------------------------------

@@ -30,18 +30,18 @@ histograms and per-(model, batch_size) batch-latency histograms — so
 ``GET /metrics`` renders the whole stack from one snapshot and
 ``metrics.reset()`` zeroes every subsystem atomically for bench warmup.
 A request carrying ``debug=true`` gets a :class:`repro.obs.Trace`: the
-request id (minted at the HTTP/client edge or here) rides through the
-scheduler wave, and the response carries a span timeline (cache lookup,
+request id (the client's, or minted by the first tier that sees it)
+rides through the scheduler wave, and the response carries a span timeline (cache lookup,
 queue wait, batch formation, inference, serialization) whose durations
 tile the measured end-to-end latency; completed traces land in a
 ring-buffered JSONL :class:`repro.obs.TraceLog`.
 
 Lifecycle: the service owns a
-:class:`~repro.serve.lifecycle.DeploymentManager` (``self.lifecycle``)
-and exposes its admin surface as the duck-typed
-``deploy/promote/rollback/warm/deployments`` methods — the same five the
-sharded :class:`~repro.serve.router.ShardRouter` implements, so the HTTP
-edge and :class:`~repro.serve.Client` drive either tier unchanged.
+:class:`~repro.serve.lifecycle.DeploymentManager` (``self.lifecycle``).
+:meth:`RationalizationService.call` runs any operation of
+:data:`repro.serve.ops.OPS` — the request path and the lifecycle ops
+alike — on a JSON body, which is the one entry point the HTTP edge, the
+shard worker and :class:`~repro.serve.Client` use.
 Scheduler waves are keyed on ``(model, version)`` and the service tracks
 an in-flight count per version on a condition variable, which is what
 lets a promote wait for the *old* version's waves to drain after the
@@ -67,6 +67,7 @@ from repro.data.dataset import ReviewExample
 from repro.obs import MetricsRegistry, Trace, TraceLog, new_request_id
 from repro.serve.cache import RationaleCache, rationale_key
 from repro.serve.lifecycle import DeploymentManager, RequestLog
+from repro.serve.ops import OPS, RequestError, bind
 from repro.serve.registry import (
     ArtifactCompatibilityError,
     LifecycleError,
@@ -75,20 +76,6 @@ from repro.serve.registry import (
     parse_model_ref,
 )
 from repro.serve.scheduler import MicroBatchScheduler
-
-
-class RequestError(ValueError):
-    """A malformed or unservable request (maps to HTTP 400/404/409).
-
-    ``detail`` is an optional JSON-serializable dict the HTTP edge
-    includes in the error body — e.g. the ``format_version`` /
-    ``repro_version`` mismatch a failed deploy reports with its 409.
-    """
-
-    def __init__(self, message: str, status: int = 400, detail: Optional[dict] = None):
-        super().__init__(message)
-        self.status = status
-        self.detail = detail
 
 
 class RationalizationService:
@@ -183,9 +170,21 @@ class RationalizationService:
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
+    def call(self, op: str, body: dict):
+        """Run serve operation ``op`` (a :data:`repro.serve.ops.OPS` name)
+        on a JSON ``body``: the body is bound against the op's fields
+        (400 on a malformed one), then the op's method runs.  Every
+        typed rejection is counted here, by status."""
+        try:
+            kwargs = bind(op, body)
+            return getattr(self, OPS[op].method or op)(**kwargs)
+        except RequestError as exc:
+            self._m_errors.inc(status=str(exc.status))
+            raise
+
     def rationalize(
         self,
-        model: str,
+        model: Optional[str] = None,
         token_ids: Optional[Sequence[int]] = None,
         tokens: Optional[Sequence[str]] = None,
         debug: bool = False,
@@ -205,45 +204,33 @@ class RationalizationService:
         start = time.perf_counter()
         request_id = request_id or new_request_id()
         trace = Trace(request_id, start=start) if debug else None
-        try:
-            artifact = self._resolve(model, version)
-            ids, token_strings = self._encode(artifact, token_ids, tokens)
+        artifact = self._resolve(model, version)
+        ids, token_strings = self._encode(artifact, token_ids, tokens)
+        if trace is not None:
+            trace.mark("validate")
+        self.request_log.record(artifact.name, ids)
+        key = rationale_key(artifact.name, ids, version=artifact.version)
+        cached = self.cache.get(key)
+        if trace is not None:
+            trace.mark("cache_lookup")
+        if cached is not None:
+            response = dict(cached)
+            response["cached"] = True
+        else:
+            future = self._submit(artifact, ids, trace)
+            result = future.result(timeout=self.request_timeout_s)
             if trace is not None:
-                trace.mark("validate")
-            self.request_log.record(artifact.name, ids)
-            key = rationale_key(artifact.name, ids, version=artifact.version)
-            cached = self.cache.get(key)
-            if trace is not None:
-                trace.mark("cache_lookup")
-            if cached is not None:
-                response = dict(cached)
-                response["cached"] = True
-            else:
-                future = self._submit(artifact, ids, trace)
-                result = future.result(timeout=self.request_timeout_s)
-                if trace is not None:
-                    # Gap between the scheduler resolving the future and
-                    # this thread being rescheduled to consume it.
-                    trace.mark("resolve_wait")
-                response = dict(result)
-                response["cached"] = False
-                self.cache.put(key, result)
-        except RequestError as exc:
-            self._m_errors.inc(status=str(exc.status))
-            raise
+                # Gap between the scheduler resolving the future and
+                # this thread being rescheduled to consume it.
+                trace.mark("resolve_wait")
+            response = dict(result)
+            response["cached"] = False
+            self.cache.put(key, result)
         response = self._finish(response, artifact, ids, token_strings)
         response["request_id"] = request_id
         self._mirror(artifact, ids, response, request_id)
         self._m_requests.inc(model=artifact.name, cached=str(response["cached"]).lower())
-        if trace is not None:
-            trace.mark("serialization")
-            trace_dict = trace.to_dict()
-            self.trace_log.record(trace_dict)
-            response["trace"] = trace_dict
-        latency_ms = (time.perf_counter() - start) * 1000.0
-        response["latency_ms"] = round(latency_ms, 3)
-        self._m_latency.observe(latency_ms / 1000.0, model=artifact.name)
-        return response
+        return self._stamp(response, trace, start, artifact.name)
 
     def rationalize_many(
         self,
@@ -266,45 +253,41 @@ class RationalizationService:
         start = time.perf_counter()
         request_id = request_id or new_request_id()
         trace = Trace(request_id, start=start) if debug else None
-        try:
-            artifact = self._resolve(model, version)
-            if not isinstance(inputs, (list, tuple)) or not inputs:
-                raise RequestError("'inputs' must be a non-empty list")
-            encoded = []
-            for index, item in enumerate(inputs):
-                token_ids, tokens = self._split_item(item)
-                try:
-                    encoded.append(self._encode(artifact, token_ids, tokens))
-                except RequestError as exc:
-                    raise RequestError(f"inputs[{index}]: {exc}", status=exc.status)
-            if trace is not None:
-                trace.mark("validate")
-            responses: list[Optional[dict]] = [None] * len(encoded)
-            pending: list[tuple[int, tuple, Future]] = []
-            for index, (ids, _) in enumerate(encoded):
-                self.request_log.record(artifact.name, ids)
-                key = rationale_key(artifact.name, ids, version=artifact.version)
-                cached = self.cache.get(key)
-                if cached is not None:
-                    response = dict(cached)
-                    response["cached"] = True
-                    responses[index] = response
-                else:
-                    pending.append((index, key, self._submit(artifact, ids)))
-            if trace is not None:
-                trace.mark("cache_lookup")
-            deadline = start + self.request_timeout_s
-            for index, key, future in pending:
-                result = future.result(timeout=max(deadline - time.perf_counter(), 0.001))
-                response = dict(result)
-                response["cached"] = False
-                self.cache.put(key, result)
+        artifact = self._resolve(model, version)
+        if not isinstance(inputs, (list, tuple)) or not inputs:
+            raise RequestError("'inputs' must be a non-empty list")
+        encoded = []
+        for index, item in enumerate(inputs):
+            token_ids, tokens = self._split_item(item)
+            try:
+                encoded.append(self._encode(artifact, token_ids, tokens))
+            except RequestError as exc:
+                raise RequestError(f"inputs[{index}]: {exc}", status=exc.status)
+        if trace is not None:
+            trace.mark("validate")
+        responses: list[Optional[dict]] = [None] * len(encoded)
+        pending: list[tuple[int, tuple, Future]] = []
+        for index, (ids, _) in enumerate(encoded):
+            self.request_log.record(artifact.name, ids)
+            key = rationale_key(artifact.name, ids, version=artifact.version)
+            cached = self.cache.get(key)
+            if cached is not None:
+                response = dict(cached)
+                response["cached"] = True
                 responses[index] = response
-            if trace is not None:
-                trace.mark("inference")
-        except RequestError as exc:
-            self._m_errors.inc(status=str(exc.status))
-            raise
+            else:
+                pending.append((index, key, self._submit(artifact, ids)))
+        if trace is not None:
+            trace.mark("cache_lookup")
+        deadline = start + self.request_timeout_s
+        for index, key, future in pending:
+            result = future.result(timeout=max(deadline - time.perf_counter(), 0.001))
+            response = dict(result)
+            response["cached"] = False
+            self.cache.put(key, result)
+            responses[index] = response
+        if trace is not None:
+            trace.mark("inference")
         for index, (ids, token_strings) in enumerate(encoded):
             responses[index] = self._finish(responses[index], artifact, ids, token_strings)
             self._mirror(artifact, ids, responses[index], request_id)
@@ -319,15 +302,20 @@ class RationalizationService:
             "request_id": request_id,
             "results": responses,
         }
+        return self._stamp(envelope, trace, start, artifact.name)
+
+    def _stamp(self, payload: dict, trace: Optional[Trace], start: float, model: str) -> dict:
+        """Close a response: attach the debug trace, then stamp and
+        record the end-to-end latency."""
         if trace is not None:
             trace.mark("serialization")
             trace_dict = trace.to_dict()
             self.trace_log.record(trace_dict)
-            envelope["trace"] = trace_dict
+            payload["trace"] = trace_dict
         latency_ms = (time.perf_counter() - start) * 1000.0
-        envelope["latency_ms"] = round(latency_ms, 3)
-        self._m_latency.observe(latency_ms / 1000.0, model=artifact.name)
-        return envelope
+        payload["latency_ms"] = round(latency_ms, 3)
+        self._m_latency.observe(latency_ms / 1000.0, model=model)
+        return payload
 
     def _submit(self, artifact: ModelArtifact, ids, trace: Optional[Trace] = None) -> "Future":
         # Track before submitting: drain_version() must never observe a
@@ -423,8 +411,6 @@ class RationalizationService:
                 model = names[0]
             else:
                 raise RequestError(f"request must name a model; available: {names}")
-        if not isinstance(model, str):
-            raise RequestError(f"'model' must be a string, got {type(model).__name__}")
         try:
             name, ref_version = parse_model_ref(model)
         except ValueError as exc:
@@ -442,6 +428,8 @@ class RationalizationService:
             raise RequestError(
                 str(exc.args[0]) if exc.args else str(exc), status=404
             ) from None
+        except ValueError as exc:  # e.g. an empty version: "name@"
+            raise RequestError(str(exc)) from None
 
     def _route(self, name: str) -> ModelArtifact:
         """Live artifact of ``name``, minus the configured canary share."""
@@ -486,12 +474,15 @@ class RationalizationService:
             # Reject rather than coerce: float ids would silently truncate
             # to different tokens and answer a confidently wrong rationale.
             raise RequestError("'token_ids' must be a non-empty flat list of integers")
-        ids = np.asarray(ids_list, dtype=np.int64)
         vocab_size = int(artifact.config.get("arch", {}).get("vocab_size", 0))
-        if vocab_size and (ids.min() < 0 or ids.max() >= vocab_size):
+        try:
+            ids = np.asarray(ids_list, dtype=np.int64)
+        except OverflowError:
+            ids = None
+        if ids is None or vocab_size and (ids.min() < 0 or ids.max() >= vocab_size):
             raise RequestError(
                 f"token ids must be in [0, {vocab_size}); got range "
-                f"[{int(ids.min())}, {int(ids.max())}]"
+                f"[{min(ids_list)}, {max(ids_list)}]"
             )
         return ids, None
 
@@ -582,12 +573,12 @@ class RationalizationService:
         return dict(result)
 
     # ------------------------------------------------------------------
-    # Admin surface (duck-typed with ShardRouter)
+    # Lifecycle ops
     # ------------------------------------------------------------------
     def deploy(
         self,
-        model: Optional[str] = None,
-        path: Optional[str] = None,
+        model: str,
+        path: str,
         version: Optional[str] = None,
         canary_fraction: float = 0.0,
         shadow: bool = False,
@@ -599,53 +590,27 @@ class RationalizationService:
         Incompatible artifacts answer 409 carrying the checkpoint's
         ``format_version``/``repro_version`` in ``detail``.
         """
-        if not model or not path:
-            raise RequestError("'model' and 'path' are required")
-        try:
-            return self.lifecycle.deploy(
-                model,
-                path,
-                version=version,
-                canary_fraction=canary_fraction,
-                shadow=shadow,
-                diff_log=diff_log,
-                warm=warm,
-            )
-        except ArtifactCompatibilityError as exc:
-            raise RequestError(
-                f"incompatible artifact: {exc}",
-                status=409,
-                detail={
-                    "format_version": exc.format_version,
-                    "repro_version": exc.repro_version,
-                    "path": exc.path,
-                },
-            ) from exc
-        except FileNotFoundError as exc:
-            raise RequestError(f"checkpoint not found: {exc}", status=400) from exc
-        except LifecycleError as exc:
-            raise RequestError(str(exc), status=409) from exc
-        except KeyError as exc:
-            raise RequestError(
-                str(exc.args[0]) if exc.args else str(exc), status=404
-            ) from exc
+        return self._lifecycle_call(
+            self.lifecycle.deploy,
+            model,
+            path,
+            version=version,
+            canary_fraction=canary_fraction,
+            shadow=shadow,
+            diff_log=diff_log,
+            warm=warm,
+        )
 
-    def promote(self, model: Optional[str] = None, version: Optional[str] = None) -> dict:
+    def promote(self, model: str, version: Optional[str] = None) -> dict:
         """``POST /v1/promote``: flip ``model``'s live pointer (zero-drop)."""
-        if not model:
-            raise RequestError("'model' is required")
         return self._lifecycle_call(self.lifecycle.promote, model, version=version)
 
-    def rollback(self, model: Optional[str] = None) -> dict:
+    def rollback(self, model: str) -> dict:
         """``POST /v1/rollback``: restore the retained previous version."""
-        if not model:
-            raise RequestError("'model' is required")
         return self._lifecycle_call(self.lifecycle.rollback, model)
 
-    def warm(self, model: Optional[str] = None, version: Optional[str] = None) -> dict:
+    def warm(self, model: str, version: Optional[str] = None) -> dict:
         """``POST /v1/warm``: replay the request log through a version."""
-        if not model:
-            raise RequestError("'model' is required")
         warmed = self._lifecycle_call(self.lifecycle.warm, model, version=version)
         name, ref_version = parse_model_ref(model)
         return {"model": name, "version": version or ref_version, "warmed": warmed}
@@ -658,6 +623,18 @@ class RationalizationService:
         """Translate lifecycle-layer exceptions to typed request errors."""
         try:
             return fn(*args, **kwargs)
+        except ArtifactCompatibilityError as exc:
+            raise RequestError(
+                f"incompatible artifact: {exc}",
+                status=409,
+                detail={
+                    "format_version": exc.format_version,
+                    "repro_version": exc.repro_version,
+                    "path": exc.path,
+                },
+            ) from exc
+        except OSError as exc:
+            raise RequestError(f"checkpoint not readable: {exc}") from exc
         except LifecycleError as exc:
             raise RequestError(str(exc), status=409) from exc
         except KeyError as exc:

@@ -14,25 +14,16 @@ Transport is a pair of ``multiprocessing`` queues per worker carrying
 plain picklable tuples::
 
     router -> worker   (kind, request_id, payload)
-        kind ∈ {"rationalize", "rationalize_many", "stats", "metrics",
-                "deploy", "promote", "rollback", "warm", "deployments",
-                "shutdown"}
+        kind ∈ repro.serve.ops.OPS names ∪ {"shutdown"}
     worker -> router   (kind, request_id_or_worker_id, payload)
         kind ∈ {"ready", "result", "error", "fatal", "exit"}
 
-The five lifecycle kinds are the admin control plane: the router
-broadcasts each admin call to every worker (each shard runs its own
-:class:`~repro.serve.lifecycle.DeploymentManager`), and journals the op
-so a respawned worker replays the sequence and converges with the fleet.
-Shadow diff logs get a per-worker suffix (``log.w3.jsonl``) so the
-sharded tier never interleaves JSONL writes from different processes —
-``deploy-diff`` accepts a glob.
-
-``"metrics"`` returns the shard's picklable
-:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`, which the router
-merges bucket-wise into the fleet view served at ``GET /metrics``;
-rationalize payloads may carry ``debug``/``request_id`` so the edge's
-request id and span timeline propagate through the process boundary.
+The worker is generic over the op table: it answers any op with
+``service.call(kind, payload)``, whichever way the router fans it out
+(see :data:`repro.serve.ops.OPS`).  A ``diff_log`` field gets a
+per-worker suffix (``log.w3.jsonl``) so the sharded tier never
+interleaves JSONL writes from different processes — ``deploy-diff``
+accepts a glob.
 
 Inside the worker, requests fan out to a small thread pool (sized to the
 router's per-worker admission budget) so concurrent requests block on
@@ -49,19 +40,13 @@ import multiprocessing as mp
 import os
 import signal
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional
 
-#: Request kinds the worker main loop understands.
-MSG_RATIONALIZE = "rationalize"
-MSG_RATIONALIZE_MANY = "rationalize_many"
-MSG_STATS = "stats"
-MSG_METRICS = "metrics"
-MSG_DEPLOY = "deploy"
-MSG_PROMOTE = "promote"
-MSG_ROLLBACK = "rollback"
-MSG_WARM = "warm"
-MSG_DEPLOYMENTS = "deployments"
+from repro.serve.ops import RequestError
+
+#: The drain sentinel; every other request kind is an op name.
 MSG_SHUTDOWN = "shutdown"
 
 #: Response kinds the router's collector threads understand.
@@ -97,7 +82,6 @@ class WorkerConfig:
     #: Warm-up request-log ring capacity (0 disables; see
     #: repro.serve.lifecycle.RequestLog).
     request_log_size: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def _build_service(config: WorkerConfig):
@@ -128,8 +112,6 @@ def worker_diff_log(path: str, worker_id: int) -> str:
     interleave JSONL records; ``deploy-diff`` reads the whole set with a
     ``log.w*.jsonl`` glob.
     """
-    from pathlib import Path
-
     p = Path(path)
     return str(p.with_name(f"{p.stem}.w{worker_id}{p.suffix or '.jsonl'}"))
 
@@ -150,17 +132,19 @@ def worker_main(config: WorkerConfig, request_q, response_q) -> None:
     except Exception as exc:  # load failure: report and bail out
         response_q.put((MSG_FATAL, config.worker_id, {"error": str(exc)}))
         return
-    handled = 0
     pool = ThreadPoolExecutor(
         max_workers=max(2, config.max_inflight),
         thread_name_prefix=f"repro-shard-{config.worker_id}",
     )
 
-    def respond(request_id: int, call, payload: dict) -> None:
-        from repro.serve.service import RequestError
-
+    def respond(request_id: int, op: str, payload: dict) -> None:
         try:
-            response_q.put((MSG_RESULT, request_id, call(payload)))
+            if payload.get("diff_log"):
+                # Each shard appends to its own suffixed log: concurrent
+                # processes must never interleave writes in one JSONL file.
+                diff_log = worker_diff_log(payload["diff_log"], config.worker_id)
+                payload = {**payload, "diff_log": diff_log}
+            response_q.put((MSG_RESULT, request_id, service.call(op, payload)))
         except RequestError as exc:
             body = {"error": str(exc), "status": exc.status}
             if exc.detail:
@@ -168,71 +152,6 @@ def worker_main(config: WorkerConfig, request_q, response_q) -> None:
             response_q.put((MSG_ERROR, request_id, body))
         except Exception as exc:  # never let one request kill the shard
             response_q.put((MSG_ERROR, request_id, {"error": str(exc), "status": 500}))
-
-    def do_rationalize(payload: dict) -> dict:
-        return service.rationalize(
-            model=payload.get("model"),
-            token_ids=payload.get("token_ids"),
-            tokens=payload.get("tokens"),
-            debug=bool(payload.get("debug", False)),
-            request_id=payload.get("request_id"),
-            version=payload.get("version"),
-        )
-
-    def do_rationalize_many(payload: dict) -> dict:
-        return service.rationalize_many(
-            model=payload.get("model"),
-            inputs=payload.get("inputs"),
-            debug=bool(payload.get("debug", False)),
-            request_id=payload.get("request_id"),
-            version=payload.get("version"),
-        )
-
-    def do_stats(payload: dict) -> dict:
-        return service.stats()
-
-    def do_metrics(payload: dict) -> dict:
-        return service.metrics_snapshot()
-
-    def do_deploy(payload: dict) -> dict:
-        diff_log = payload.get("diff_log")
-        return service.deploy(
-            model=payload.get("model"),
-            path=payload.get("path"),
-            version=payload.get("version"),
-            canary_fraction=float(payload.get("canary_fraction") or 0.0),
-            shadow=bool(payload.get("shadow", False)),
-            # Each shard appends to its own suffixed log: concurrent
-            # processes must never interleave writes in one JSONL file.
-            diff_log=worker_diff_log(diff_log, config.worker_id) if diff_log else None,
-            warm=bool(payload.get("warm", False)),
-        )
-
-    def do_promote(payload: dict) -> dict:
-        return service.promote(
-            model=payload.get("model"), version=payload.get("version")
-        )
-
-    def do_rollback(payload: dict) -> dict:
-        return service.rollback(model=payload.get("model"))
-
-    def do_warm(payload: dict) -> dict:
-        return service.warm(model=payload.get("model"), version=payload.get("version"))
-
-    def do_deployments(payload: dict) -> list:
-        return service.deployments()
-
-    calls = {
-        MSG_RATIONALIZE: do_rationalize,
-        MSG_RATIONALIZE_MANY: do_rationalize_many,
-        MSG_STATS: do_stats,
-        MSG_METRICS: do_metrics,
-        MSG_DEPLOY: do_deploy,
-        MSG_PROMOTE: do_promote,
-        MSG_ROLLBACK: do_rollback,
-        MSG_WARM: do_warm,
-        MSG_DEPLOYMENTS: do_deployments,
-    }
 
     response_q.put((
         MSG_READY,
@@ -244,21 +163,13 @@ def worker_main(config: WorkerConfig, request_q, response_q) -> None:
             kind, request_id, payload = request_q.get()
             if kind == MSG_SHUTDOWN:
                 break
-            call = calls.get(kind)
-            if call is None:
-                response_q.put((
-                    MSG_ERROR, request_id,
-                    {"error": f"unknown message kind {kind!r}", "status": 400},
-                ))
-                continue
-            handled += 1
-            pool.submit(respond, request_id, call, payload)
+            pool.submit(respond, request_id, kind, payload)
     finally:
         # The drain: finish every accepted request, then stop the
         # scheduler (which itself drains its queue before joining).
         pool.shutdown(wait=True)
         service.close()
-        response_q.put((MSG_EXIT, config.worker_id, {"handled": handled}))
+        response_q.put((MSG_EXIT, config.worker_id, {}))
 
 
 def spawn_worker(config: WorkerConfig, context: Optional[str] = None):

@@ -8,13 +8,11 @@ from repro.autograd import Tensor, functional as F, gradcheck
 from repro.backend.ops import (
     fused_binary_concrete,
     fused_lstm_sequence,
-    fused_lstm_step,
     fused_softmax,
     fused_softmax_cross_entropy,
 )
 from repro.core.sampling import hardkuma_sampler
 from repro.nn import LSTM
-from repro.nn.lstm import LSTMCell
 
 
 @pytest.fixture
@@ -30,7 +28,7 @@ class TestRegistry:
     def test_all_kernels_registered(self):
         names = backend.get_backend().kernels()
         for required in (
-            "lstm_step_forward", "lstm_sequence_forward", "softmax_forward",
+            "lstm_sequence_forward", "softmax_forward",
             "softmax_xent_forward", "binary_concrete_forward",
         ):
             assert required in names
@@ -100,37 +98,6 @@ class TestFusedSoftmaxXent:
 
 
 class TestFusedLSTM:
-    def test_step_matches_composed_cell(self, rng):
-        cell = LSTMCell(3, 4, rng=np.random.default_rng(1))
-        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-        h0 = Tensor(np.zeros((2, 4)))
-        c0 = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-        h_ref, c_ref = cell(x, (h0, c0))
-        gates = x @ cell.weight_ih + h0 @ cell.weight_hh + cell.bias
-        h_fused, c_fused = fused_lstm_step(gates, c0)
-        assert np.allclose(h_ref.data, h_fused.data, atol=1e-14, rtol=0)
-        assert np.allclose(c_ref.data, c_fused.data, atol=1e-14, rtol=0)
-
-        ((h_ref ** 2).sum() + (c_ref * 1.5).sum()).backward()
-        gx_ref, gc_ref = x.grad.copy(), c0.grad.copy()
-        x.zero_grad(); c0.zero_grad()
-        ((h_fused ** 2).sum() + (c_fused * 1.5).sum()).backward()
-        assert np.allclose(gx_ref, x.grad, atol=1e-12)
-        assert np.allclose(gc_ref, c0.grad, atol=1e-12)
-
-    def test_step_gradcheck(self, rng):
-        cell = LSTMCell(3, 4, rng=np.random.default_rng(1))
-        h0 = Tensor(np.zeros((2, 4)))
-        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-        c0 = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-
-        def fn(xx, cc):
-            gates = xx @ cell.weight_ih + h0 @ cell.weight_hh + cell.bias
-            h, c = fused_lstm_step(gates, cc)
-            return (h ** 2).sum() + (c ** 3).sum()
-
-        assert gradcheck(fn, [x, c0], atol=1e-4)
-
     def test_sequence_matches_composed_layer(self, rng):
         fused = LSTM(5, 4, bidirectional=True, fused=True, rng=np.random.default_rng(1))
         composed = LSTM(5, 4, bidirectional=True, fused=False, rng=np.random.default_rng(1))

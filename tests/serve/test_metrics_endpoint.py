@@ -155,15 +155,14 @@ class TestShardedMetrics:
             for i in range(10):
                 client.rationalize(token_ids=[3 + i, 1])
             merged = router.metrics_snapshot()
-            # Re-probe each worker individually through the same message
-            # the router uses, so the bucket-wise merge is checked against
+            # Re-probe each worker individually through the same op the
+            # router uses, so the bucket-wise merge is checked against
             # ground truth (the sum of per-worker snapshots).
-            from repro.serve.shard import MSG_METRICS
-
-            per_worker = []
-            for handle in router._snapshot_handles():
-                future = handle.try_dispatch(MSG_METRICS, {}, weight=0, force=True)
-                per_worker.append(future.result(timeout=10.0))
+            per_worker = [
+                snapshot
+                for _, snapshot in router.probe("metrics", worker_timeout_s=10.0)
+            ]
+            assert all(snapshot is not None for snapshot in per_worker)
 
         worker_merged = merge_snapshots(per_worker)
         name = "repro_request_latency_seconds"
@@ -175,8 +174,9 @@ class TestShardedMetrics:
 
     def test_debug_trace_spliced_across_process_boundary(self, checkpoint):
         with ShardRouter([checkpoint], workers=1, max_wait_ms=2.0) as router:
-            response = router.rationalize(
-                token_ids=[2, 4, 6], debug=True, request_id="bbbb1111bbbb1111"
+            response = router.call(
+                "rationalize",
+                {"token_ids": [2, 4, 6], "debug": True, "request_id": "bbbb1111bbbb1111"},
             )
         trace = response["trace"]
         assert trace["request_id"] == "bbbb1111bbbb1111"

@@ -172,7 +172,7 @@ class TestFailureHandling:
 
             def call():
                 try:
-                    router.rationalize_many(model="tiny", inputs=inputs)
+                    router.call("rationalize_many", {"model": "tiny", "inputs": inputs})
                 except RequestError as exc:
                     errors.append(exc)
 
@@ -196,8 +196,9 @@ class TestGracefulDrain:
 
         def call():
             results.append(
-                router.rationalize_many(
-                    model="tiny", inputs=[list(range(1, 30)) for _ in range(16)]
+                router.call(
+                    "rationalize_many",
+                    {"model": "tiny", "inputs": [list(range(1, 30)) for _ in range(16)]},
                 )
             )
 
@@ -216,7 +217,7 @@ class TestGracefulDrain:
         assert all(r["count"] == 16 for r in results)
         # New work is rejected with the typed shutdown status ...
         with pytest.raises(RequestError) as err:
-            router.rationalize(model="tiny", token_ids=[1, 2])
+            router.call("rationalize", {"model": "tiny", "token_ids": [1, 2]})
         assert err.value.status == 503
         # ... and no worker process is left behind.
         assert mp.active_children() == []
@@ -242,10 +243,9 @@ def challenger_checkpoint(tmp_path_factory):
 
 def fleet_states(router):
     """Per-shard ``[(version, state), ...]`` projections (None = no answer)."""
-    views = router.fleet_deployments(worker_timeout_s=5.0)
     return [
         sorted((r["version"], r["state"]) for r in rows) if rows is not None else None
-        for _, rows in sorted(views.items())
+        for _, rows in router.probe("deployments", worker_timeout_s=5.0)
     ]
 
 
