@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import FAST_PROFILE
+from repro.api.profiles import FAST_PROFILE
 
 
 @pytest.fixture(scope="session")

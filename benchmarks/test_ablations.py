@@ -8,16 +8,17 @@
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import (
-    run_ablation_discriminator_weight,
-    run_ablation_frozen_discriminator,
-    run_ablation_sampler,
+from repro.api.experiments import (
+    ablation_frozen_spec,
+    ablation_sampler_spec,
+    ablation_weight_spec,
 )
+from repro.api.spec import execute_spec
 from repro.utils import render_table
 
 
 def test_ablation_frozen_discriminator(benchmark, profile):
-    rows = run_once(benchmark, run_ablation_frozen_discriminator, profile)
+    rows = run_once(benchmark, execute_spec, ablation_frozen_spec(), profile)
 
     print()
     print(render_table("Ablation — frozen vs co-trained discriminator", rows, key_column="variant"))
@@ -29,7 +30,7 @@ def test_ablation_frozen_discriminator(benchmark, profile):
 
 
 def test_ablation_sampler(benchmark, profile):
-    rows = run_once(benchmark, run_ablation_sampler, profile)
+    rows = run_once(benchmark, execute_spec, ablation_sampler_spec(), profile)
 
     print()
     print(render_table("Ablation — mask sampler under DAR", rows, key_column="sampler"))
@@ -42,7 +43,7 @@ def test_ablation_sampler(benchmark, profile):
 
 
 def test_ablation_discriminator_weight(benchmark, profile):
-    rows = run_once(benchmark, run_ablation_discriminator_weight, profile)
+    rows = run_once(benchmark, execute_spec, ablation_weight_spec(), profile)
 
     print()
     print(render_table("Ablation — Eq. (5) discriminator weight", rows, key_column="weight"))

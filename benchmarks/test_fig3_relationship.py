@@ -11,14 +11,15 @@ full-text accuracy can collapse toward chance on some hotel aspects.
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.experiments import run_fig3_accuracy_gap, run_fig3_relationship
+from repro.api.experiments import fig3_accuracy_gap_spec, fig3_relationship_spec
+from repro.api.spec import execute_spec
 from repro.utils import render_table
 
 
 def _both(profile):
     return (
-        run_fig3_relationship(profile),
-        run_fig3_accuracy_gap(profile),
+        execute_spec(fig3_relationship_spec(), profile),
+        execute_spec(fig3_accuracy_gap_spec(), profile),
     )
 
 

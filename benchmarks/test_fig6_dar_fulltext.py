@@ -8,12 +8,13 @@ during cooperative training (rationale acc 86-97.5, full-text acc 89-98).
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.experiments import run_fig6_dar_fulltext
+from repro.api.experiments import fig6_dar_fulltext_spec
+from repro.api.spec import execute_spec
 from repro.utils import render_table
 
 
 def test_fig6_dar_generalizes_to_full_text(benchmark, profile):
-    rows = run_once(benchmark, run_fig6_dar_fulltext, profile)
+    rows = run_once(benchmark, execute_spec, fig6_dar_fulltext_spec(), profile)
 
     print()
     print(render_table("Fig. 6 — DAR accuracy: rationale vs full text", rows, key_column="aspect"))

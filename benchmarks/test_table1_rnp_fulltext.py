@@ -7,12 +7,13 @@ shift.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import run_table1_fulltext_scores
+from repro.api.experiments import table1_fulltext_spec
+from repro.api.spec import execute_spec
 from repro.utils import render_table
 
 
 def test_table1_rnp_fulltext_scores(benchmark, profile):
-    rows = run_once(benchmark, run_table1_fulltext_scores, profile)
+    rows = run_once(benchmark, execute_spec, table1_fulltext_spec(), profile)
 
     print()
     print(render_table("Table I — RNP predictor on full text (Hotel)", rows, key_column="aspect"))

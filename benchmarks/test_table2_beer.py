@@ -8,12 +8,13 @@ selecting near the human sparsity.
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.experiments import run_beer_comparison
+from repro.api.experiments import beer_comparison_spec
+from repro.api.spec import execute_spec
 from repro.utils import render_table
 
 
 def test_table2_beer_comparison(benchmark, profile):
-    results = run_once(benchmark, run_beer_comparison, profile)
+    results = run_once(benchmark, execute_spec, beer_comparison_spec(), profile)
 
     for aspect, rows in results.items():
         print()

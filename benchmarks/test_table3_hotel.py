@@ -8,12 +8,13 @@ predictive accuracy because their selection is label-aware.
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.experiments import run_hotel_comparison
+from repro.api.experiments import hotel_comparison_spec
+from repro.api.spec import execute_spec
 from repro.utils import render_table
 
 
 def test_table3_hotel_comparison(benchmark, profile):
-    results = run_once(benchmark, run_hotel_comparison, profile)
+    results = run_once(benchmark, execute_spec, hotel_comparison_spec(), profile)
 
     for aspect, rows in results.items():
         print()

@@ -8,12 +8,13 @@ predictor); DAR matches the paper exactly.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import run_complexity_table
+from repro.api.experiments import complexity_spec
+from repro.api.spec import execute_spec
 from repro.utils import render_table
 
 
 def test_table4_complexity(benchmark, profile):
-    rows = run_once(benchmark, run_complexity_table, profile)
+    rows = run_once(benchmark, execute_spec, complexity_spec(), profile)
 
     print()
     print(render_table("Table IV — model complexity", rows))

@@ -8,12 +8,13 @@ improvement 11.2% on Aroma).
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.experiments import run_low_sparsity
+from repro.api.experiments import low_sparsity_spec
+from repro.api.spec import execute_spec
 from repro.utils import render_table
 
 
 def test_table5_low_sparsity(benchmark, profile):
-    results = run_once(benchmark, run_low_sparsity, profile)
+    results = run_once(benchmark, execute_spec, low_sparsity_spec(), profile)
 
     for aspect, rows in results.items():
         print()

@@ -7,12 +7,13 @@ rationale but collapsed accuracy on the full text.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import run_bert_comparison
+from repro.api.experiments import bert_comparison_spec
+from repro.api.spec import execute_spec
 from repro.utils import render_table
 
 
 def test_table6_transformer_encoders(benchmark, profile):
-    rows = run_once(benchmark, run_bert_comparison, profile)
+    rows = run_once(benchmark, execute_spec, bert_comparison_spec(), profile)
 
     print()
     print(render_table("Table VI — Beer-Appearance, transformer encoders", rows))

@@ -11,12 +11,13 @@ skews; Aroma: ~74 across all skews).
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.experiments import run_skewed_predictor
+from repro.api.experiments import skewed_predictor_spec
+from repro.api.spec import execute_spec
 from repro.utils import render_table
 
 
 def test_table7_skewed_predictor(benchmark, profile):
-    rows = run_once(benchmark, run_skewed_predictor, profile)
+    rows = run_once(benchmark, execute_spec, skewed_predictor_spec(), profile)
 
     for aspect in ("Aroma", "Palate"):
         subset = [r for r in rows if r["aspect"] == aspect]

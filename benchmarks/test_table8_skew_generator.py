@@ -11,12 +11,13 @@ from skew60 to skew75) while DAR degrades gracefully (55.7 -> 49.7).
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.experiments import run_skewed_generator
+from repro.api.experiments import skewed_generator_spec
+from repro.api.spec import execute_spec
 from repro.utils import render_table
 
 
 def test_table8_skewed_generator(benchmark, profile):
-    rows = run_once(benchmark, run_skewed_generator, profile)
+    rows = run_once(benchmark, execute_spec, skewed_generator_spec(), profile)
 
     print()
     print(render_table("Table VIII — skewed generator, Beer-Palate", rows))

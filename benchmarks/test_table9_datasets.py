@@ -6,12 +6,13 @@ Service (11.5) > Cleanliness (8.9) ~ Location (8.5) for hotel.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import run_dataset_statistics
+from repro.api.experiments import dataset_statistics_spec
+from repro.api.spec import execute_spec
 from repro.utils import render_table
 
 
 def test_table9_dataset_statistics(benchmark, profile):
-    rows = run_once(benchmark, run_dataset_statistics, profile)
+    rows = run_once(benchmark, execute_spec, dataset_statistics_spec(), profile)
 
     print()
     print(render_table("Table IX — dataset statistics (scaled)", rows, key_column="family"))

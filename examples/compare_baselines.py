@@ -6,8 +6,9 @@ same synthetic Beer-Aroma dataset and prints a paper-style results table.
 Run:  python examples/compare_baselines.py  (several minutes)
 """
 
+from repro.api import Estimator
+from repro.api.profiles import ExperimentProfile
 from repro.data import build_beer_dataset
-from repro.experiments import ExperimentProfile, run_method
 from repro.utils import render_table
 
 METHODS = ("RNP", "DMR", "Inter_RAT", "A2R", "3PLAYER", "VIB", "SPECTRA", "CR", "DAR")
@@ -27,7 +28,7 @@ def main() -> None:
     rows = []
     for method in METHODS:
         print(f"training {method} ...")
-        rows.append(run_method(method, dataset, profile))
+        rows.append(Estimator(method, profile=profile).fit(dataset).as_row())
 
     print()
     print(render_table("Beer-Aroma — all methods", rows))

@@ -9,8 +9,9 @@ Run:  python examples/export_report.py  (writes into ./reports/)
 
 from pathlib import Path
 
+from repro.api import Estimator
+from repro.api.profiles import ExperimentProfile
 from repro.data import build_beer_dataset
-from repro.experiments import ExperimentProfile, run_method
 from repro.experiments.reporting import (
     diff_rows,
     load_rows_json,
@@ -33,7 +34,7 @@ def main() -> None:
     rows = []
     for method in ("RNP", "DAR"):
         print(f"training {method} ...")
-        rows.append(run_method(method, dataset, PROFILE))
+        rows.append(Estimator(method, profile=PROFILE).fit(dataset).as_row())
 
     json_path = out_dir / "beer_aroma.json"
     save_rows_json(rows, json_path, metadata={"dataset": "Beer-Aroma", "profile": str(PROFILE)})

@@ -3,10 +3,10 @@ Self-explaining Rationalization" (DAR, ICDE 2024).
 
 The package is organized bottom-up:
 
-- :mod:`repro.backend` — the pluggable array-backend layer: backend
-  registry (numpy default), the global dtype policy, and fused kernels
-  (LSTM step/sequence, softmax + cross-entropy, Gumbel/binary-concrete
-  sampling).
+- :mod:`repro.backend` — the array layer: one numpy kernel table of fused
+  kernels (GRU/LSTM sequence, softmax + cross-entropy, Gumbel/binary-concrete
+  sampling, attention, embedding gather), the dtype policy and the fusion
+  switch.
 - :mod:`repro.autograd`, :mod:`repro.nn`, :mod:`repro.optim` — a pure-numpy
   deep-learning substrate (reverse-mode AD, GRU/LSTM/transformer layers,
   Adam).
@@ -30,7 +30,7 @@ The package is organized bottom-up:
   regenerating every paper table/figure from the spec catalog, sweeps,
   plus the backend perf benchmark (``python -m repro.experiments bench``).
 - :mod:`repro.serialization` — model save/load (versioned checkpoints
-  with dtype/backend metadata).
+  with dtype metadata).
 - :mod:`repro.serve` — the model-serving subsystem: artifact registry,
   dynamic micro-batching scheduler, LRU rationale cache, and a
   stdlib-only HTTP JSON API (``python -m repro.experiments serve``;
@@ -41,7 +41,7 @@ The package is organized bottom-up:
 Performance knobs
 -----------------
 
-All array math funnels through :mod:`repro.backend`; three orthogonal
+All array math funnels through :mod:`repro.backend`; orthogonal
 switches trade reference numerics for speed.  The defaults replay the
 original float64 behaviour bit-for-bit on the default GRU-encoder path;
 the (opt-in) LSTM encoder always runs its fused sequence kernel, which is
@@ -69,15 +69,16 @@ validated equal to the composed reference to float rounding
 
 The switches are threaded through :class:`repro.core.trainer.TrainConfig`
 (``dtype=``, ``fused=``, ``bucketing=``), through
-:class:`repro.experiments.ExperimentProfile`, and through the CLI
+:class:`repro.api.profiles.ExperimentProfile`, and through the CLI
 (``python -m repro.experiments --artifact table2 --dtype float32
 --fused``).  ``python -m repro.experiments bench`` (or ``make bench``)
 times the fast path against the seed configuration and records
 ``BENCH_backend.json`` with a per-kernel timing breakdown; the fast path
 is required to stay ≥ 3× by ``benchmarks/test_perf_smoke.py``, and
-``make bench-compare`` gates ms_per_epoch regressions at 20%.  New
-accelerated backends plug in by registering the kernel names listed in
-:mod:`repro.backend.kernels` via :func:`repro.backend.register_backend`.
+``make bench-compare`` gates ms_per_epoch regressions at 20%.  Every
+fused kernel is a numpy function registered by name in the one kernel
+table (:func:`repro.backend.get_backend`, filled by
+:mod:`repro.backend.kernels`).
 """
 
 __version__ = "1.1.0"

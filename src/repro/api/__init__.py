@@ -1,7 +1,7 @@
 """repro.api — the unified training/experiment surface.
 
-Three layers, mirroring the backend registry (PR 2/4) and the serve
-artifact registry (PR 3) as the third registry-style extension point:
+Three layers, a registry-style extension point next to the backend
+kernel table and the serve artifact registry:
 
 - :mod:`~repro.api.registry` — **method registry with metadata**: model
   classes self-register via :func:`register_method`, carrying their
@@ -32,7 +32,6 @@ class-definition time); everything heavier is exported lazily.
 from repro.api.registry import (
     METHODS,
     MethodInfo,
-    MethodRegistryView,
     ensure_builtin_methods,
     get_method,
     method_names,
@@ -43,7 +42,6 @@ from repro.api.registry import (
 __all__ = [
     "METHODS",
     "MethodInfo",
-    "MethodRegistryView",
     "Estimator",
     "ExperimentSpec",
     "FitReport",

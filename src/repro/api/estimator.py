@@ -16,7 +16,7 @@ collapses it::
 
 Keyword overrides are routed by *declared fields*, not hand-written key
 tables: a key that is a :class:`repro.core.TrainConfig` field goes to the
-train config, else an :class:`repro.experiments.config.ExperimentProfile`
+train config, else an :class:`repro.api.profiles.ExperimentProfile`
 field goes to the profile, and anything else goes to the model
 constructor.  ``seed`` is special-cased to drive **both** the model-init
 RNG and the training RNG — the seed-era ``run_sweep`` routed a swept
@@ -219,8 +219,7 @@ class Estimator:
         """The :class:`TrainConfig` a :meth:`fit` call would train with.
 
         An explicit ``seed`` in the overrides wins over the estimator's
-        (matching the legacy ``run_method(..., seed=...)`` config
-        behaviour); the estimator seed still drives model init.
+        for the training RNG; the estimator seed still drives model init.
         """
         return train_config(
             self.info, self.profile,

@@ -1,11 +1,10 @@
 """The experiment-spec catalog: every paper artifact as an
 :class:`~repro.api.spec.ExperimentSpec`.
 
-One factory function per artifact (parameterizable, so the legacy
-``run_*`` shims in :mod:`repro.experiments.runner` delegate here with
-their historical keyword arguments), plus :func:`catalog` — the name →
-spec mapping behind ``python -m repro.experiments --artifact <name>`` /
-``--list``.  The CLI's artifact table is *generated* from this catalog,
+One factory function per artifact (parameterizable: run a customized
+artifact with ``execute_spec(beer_comparison_spec(methods=...), profile)``),
+plus :func:`catalog` — the name → spec mapping behind
+``python -m repro.experiments --artifact <name>`` / ``--list``.  The CLI's artifact table is *generated* from this catalog,
 so help text and registry cannot drift.
 
 Default method lists, aspect sets, hyper-parameter grids and skew

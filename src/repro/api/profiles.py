@@ -6,8 +6,7 @@ parameterized by a profile.  ``FAST_PROFILE`` (the benchmark default)
 preserves the qualitative shape of every result at laptop scale;
 ``FULL_PROFILE`` is closer to the paper's scale for users with time.
 
-Lives in :mod:`repro.api` (historically ``repro.experiments.config``,
-which still re-exports it) because the profile is consumed below the
+Lives in :mod:`repro.api` because the profile is consumed below the
 experiment harness — by :class:`repro.api.Estimator` and the spec engine.
 """
 

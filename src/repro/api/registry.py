@@ -1,12 +1,10 @@
 """Method registry: rationalization methods as declarative metadata.
 
-The seed-era ``METHOD_REGISTRY`` was a bare ``{name: class}`` dict, and
-everything the experiment harness needed to know *about* a method lived as
-special cases at the call sites — ``train_config_for`` hard-coded the DAR
-``selection="dev_acc"`` branch, ``_result_row`` probed a
-``reports_accuracy`` class attribute, and ``repro.serve`` kept its own
-``_FAMILY_HYPER`` table of per-family constructor keywords.  This module
-replaces all of that with one extension point:
+Everything the experiment harness, the estimator and the serving tier need
+to know *about* a method — its checkpoint-selection protocol, whether its
+Acc column is meaningful, the constructor keywords its serving artifacts
+embed — is declared once, where the method is defined.  One extension
+point:
 
 - :func:`register_method` — a class decorator with which each model module
   *self-registers*, carrying its metadata (checkpoint-selection protocol,
@@ -15,7 +13,7 @@ replaces all of that with one extension point:
 - :class:`MethodInfo` — the frozen metadata record.
 - :func:`get_method` / :func:`method_names` / :data:`METHODS` — lookup.
 
-Third-party methods plug in without editing ``runner.py``::
+Third-party methods plug in without editing any harness code::
 
     from repro.api import register_method
     from repro.core import RNP
@@ -25,7 +23,8 @@ Third-party methods plug in without editing ``runner.py``::
         ...
 
 Once registered, the method trains through :class:`repro.api.Estimator`
-and ``run_method``, appears in experiment specs, and — because
+(``get_method(name).cls`` is its class), appears in experiment specs,
+and — because
 ``repro.serve`` resolves model families through this registry too — its
 checkpoints are servable.
 
@@ -38,7 +37,7 @@ lazily imports the built-in model modules to trigger their registrations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 
 @dataclass(frozen=True)
@@ -154,26 +153,3 @@ def method_names() -> list[str]:
     ensure_builtin_methods()
     return sorted(METHODS)
 
-
-class MethodRegistryView(Mapping):
-    """Live ``{name: class}`` mapping over the registry.
-
-    Backward-compatible stand-in for the seed-era ``METHOD_REGISTRY``
-    dict: methods registered later (including third-party plugins) are
-    visible without rebuilding anything.
-    """
-
-    def __getitem__(self, name: str) -> type:
-        ensure_builtin_methods()
-        return METHODS[name].cls
-
-    def __iter__(self) -> Iterator[str]:
-        ensure_builtin_methods()
-        return iter(METHODS)
-
-    def __len__(self) -> int:
-        ensure_builtin_methods()
-        return len(METHODS)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MethodRegistryView({sorted(METHODS)})"

@@ -7,7 +7,7 @@ RNP/DMR/A2R before it) uses to sample the binary rationale mask M in Eq. (1).
 
 The hot ops (:func:`softmax`, :func:`log_softmax`, :func:`cross_entropy`,
 :func:`gumbel_softmax`) are thin wrappers: when fused-kernel dispatch is on
-(:func:`repro.backend.set_fusion`) they route to the active backend's fused
+(:func:`repro.backend.set_fusion`) they route to the kernel table's fused
 kernels via :mod:`repro.backend.ops`; otherwise they run the composed
 reference graph below, which defines the numerics the fused kernels are
 gradchecked against.

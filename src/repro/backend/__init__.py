@@ -1,13 +1,10 @@
-"""Pluggable array-backend layer: registry, dtype policy, fused kernels.
+"""The array layer: one numpy kernel table, dtype policy, fused kernels.
 
 Public surface:
 
-- Backend registry — :class:`Backend`, :class:`NumpyBackend`,
-  :func:`register_backend`, :func:`get_backend`, :func:`set_backend`,
-  :func:`use_backend`, :func:`available_backends`.  The numpy backend is
-  always registered and active by default; an accelerated drop-in only
-  needs to re-register the kernel names listed in
-  :mod:`repro.backend.kernels`.
+- Kernel table — :func:`get_backend` returns the one :class:`Backend`,
+  which holds every fused numpy kernel under its name (listed in
+  :mod:`repro.backend.kernels`); callers fetch kernels by name.
 - dtype policy — :func:`set_default_dtype` / :func:`get_default_dtype` /
   :func:`default_dtype` (context manager).  ``float64`` (default) is the
   gradcheck/reference configuration; ``float32`` is the training /
@@ -31,8 +28,6 @@ Public surface:
 
 from repro.backend.core import (
     Backend,
-    NumpyBackend,
-    available_backends,
     canonical_dtype,
     default_dtype,
     fusion,
@@ -42,16 +37,13 @@ from repro.backend.core import (
     kernel_timing,
     kernel_timing_enabled,
     kernel_timings,
-    register_backend,
     reset_kernel_timings,
-    set_backend,
     set_default_dtype,
     set_fusion,
     set_kernel_timing,
-    use_backend,
 )
 from repro.backend.pool import BufferPool, get_pool, pool_stats, reset_pool_stats
-from repro.backend import kernels  # noqa: F401  (registers the numpy kernels)
+from repro.backend import kernels  # noqa: F401  (fills the kernel table)
 
 _OPS_EXPORTS = (
     "fused_lstm_sequence",
@@ -68,8 +60,6 @@ _OPS_EXPORTS = (
 __all__ = [
     "Backend",
     "BufferPool",
-    "NumpyBackend",
-    "available_backends",
     "canonical_dtype",
     "default_dtype",
     "fusion",
@@ -81,14 +71,11 @@ __all__ = [
     "kernel_timing_enabled",
     "kernel_timings",
     "pool_stats",
-    "register_backend",
     "reset_kernel_timings",
     "reset_pool_stats",
-    "set_backend",
     "set_default_dtype",
     "set_fusion",
     "set_kernel_timing",
-    "use_backend",
     *_OPS_EXPORTS,
 ]
 

@@ -1,13 +1,11 @@
-"""Backend registry and the global dtype/fusion policy.
+"""The numpy kernel table and the dtype/fusion policy.
 
 This module is the single choke point for "how array math is executed":
 
-- A :class:`Backend` wraps an array namespace (numpy by default) plus a
-  registry of *fused kernels* — hand-written forward/backward pairs that
-  collapse several elementary autodiff nodes into one (see
-  :mod:`repro.backend.kernels`).  New accelerated backends register
-  themselves with :func:`register_backend` and provide drop-in kernels
-  under the same names.
+- One :class:`Backend` (:func:`get_backend`) holds the table of *fused
+  kernels* — hand-written numpy forward/backward pairs that collapse
+  several elementary autodiff nodes into one (see
+  :mod:`repro.backend.kernels`).  Callers fetch kernels by name.
 - A **dtype policy**: every float tensor created while the policy is
   ``float64`` (the default) behaves exactly like the seed implementation,
   which keeps finite-difference gradient checks meaningful; switching to
@@ -184,25 +182,19 @@ def _record_kernel_time(name: str, elapsed: float) -> None:
 
 
 # ----------------------------------------------------------------------
-# Backends
+# The kernel table
 # ----------------------------------------------------------------------
 class Backend:
-    """An array-math provider: an array namespace plus named fused kernels.
+    """The numpy kernel table: named fused kernels for the host CPU.
 
-    Subclasses set :attr:`name` and :attr:`xp` (a numpy-compatible module)
-    and register kernels with :meth:`register_kernel`.  Consumers fetch
-    kernels by name via :meth:`kernel`, which is the dispatch point future
-    accelerated backends plug into.
+    Kernels register under their names with :meth:`register_kernel` (see
+    :mod:`repro.backend.kernels`); consumers fetch them by name via
+    :meth:`kernel`, the one dispatch point per-kernel timing wraps.
     """
-
-    name: str = "abstract"
-    #: numpy-compatible array namespace (``numpy`` for the default backend).
-    xp = None
 
     def __init__(self) -> None:
         self._kernels: dict[str, Callable] = {}
 
-    # -- kernel registry ------------------------------------------------
     def register_kernel(self, name: str, fn: Optional[Callable] = None):
         """Register ``fn`` under ``name`` (usable as a decorator)."""
         if fn is None:
@@ -224,8 +216,7 @@ class Backend:
             fn = self._kernels[name]
         except KeyError:
             raise KeyError(
-                f"backend {self.name!r} has no kernel {name!r}; "
-                f"registered: {sorted(self._kernels)}"
+                f"no kernel {name!r}; registered: {sorted(self._kernels)}"
             ) from None
         if not kernel_timing_enabled():
             return fn
@@ -247,83 +238,10 @@ class Backend:
         """Names of all registered kernels."""
         return tuple(sorted(self._kernels))
 
-    # -- array helpers --------------------------------------------------
-    def asarray(self, data, dtype=None) -> np.ndarray:
-        """Convert ``data`` to this backend's array type."""
-        return self.xp.asarray(data, dtype=dtype)
 
-    def zeros(self, shape, dtype=None) -> np.ndarray:
-        """Allocate a zero-filled array (default dtype = policy dtype)."""
-        return self.xp.zeros(shape, dtype=dtype or get_default_dtype())
-
-    def empty(self, shape, dtype=None) -> np.ndarray:
-        """Allocate an uninitialized array (default dtype = policy dtype)."""
-        return self.xp.empty(shape, dtype=dtype or get_default_dtype())
-
-    def to_numpy(self, array) -> np.ndarray:
-        """View/copy a backend array as a host numpy array."""
-        return np.asarray(array)
+_BACKEND = Backend()
 
 
-class NumpyBackend(Backend):
-    """The default (and reference) backend: plain numpy on the host CPU."""
-
-    name = "numpy"
-    xp = np
-
-
-_BACKENDS: dict[str, Backend] = {}
-_active_backend: Optional[str] = None
-# Guards registration and active-backend switches; reads stay lock-free
-# (a stale snapshot of the active name is benign, a torn dict is not).
-_REGISTRY_LOCK = threading.Lock()
-
-
-def register_backend(backend: Backend, activate: bool = False) -> Backend:
-    """Add a backend to the registry; optionally make it the active one."""
-    global _active_backend
-    with _REGISTRY_LOCK:
-        _BACKENDS[backend.name] = backend
-        if activate or _active_backend is None:
-            _active_backend = backend.name
-    return backend
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of every registered backend."""
-    return tuple(sorted(_BACKENDS))
-
-
-def get_backend(name: Optional[str] = None) -> Backend:
-    """The active backend, or a specific one by name."""
-    key = name if name is not None else _active_backend
-    if key is None or key not in _BACKENDS:
-        raise KeyError(f"unknown backend {key!r}; registered: {sorted(_BACKENDS)}")
-    return _BACKENDS[key]
-
-
-def set_backend(name: str) -> Backend:
-    """Make ``name`` the active backend."""
-    if name not in _BACKENDS:
-        raise KeyError(f"unknown backend {name!r}; registered: {sorted(_BACKENDS)}")
-    global _active_backend
-    with _REGISTRY_LOCK:
-        _active_backend = name
-    return _BACKENDS[name]
-
-
-@contextlib.contextmanager
-def use_backend(name: str) -> Iterator[Backend]:
-    """Context manager scoping :func:`set_backend` to a block."""
-    # The numpy backend is registered at import, so an active backend
-    # always exists to restore.
-    previous = _active_backend
-    backend = set_backend(name)
-    try:
-        yield backend
-    finally:
-        set_backend(previous)
-
-
-# The numpy backend always exists and is the initial active backend.
-register_backend(NumpyBackend())
+def get_backend() -> Backend:
+    """The process's one kernel table."""
+    return _BACKEND

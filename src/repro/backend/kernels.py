@@ -1,4 +1,4 @@
-"""Fused numpy kernels registered with the default backend.
+"""Fused numpy kernels, registered in the one kernel table.
 
 Each kernel collapses a chain of elementary autodiff ops into one
 forward/backward pair operating on raw arrays.  The composed reference
@@ -10,10 +10,9 @@ Numerical conventions match the composed ops exactly: sigmoids clip their
 input to ``[-60, 60]`` (as :meth:`Tensor.sigmoid` does) and softmaxes are
 max-shifted, so fused and composed paths agree to float rounding.
 
-Kernels are pure array functions — no :class:`Tensor` anywhere — so an
-accelerated backend only has to re-register these names (see
-:meth:`repro.backend.core.Backend.register_kernel`) to take over every
-hot path in the package.
+Kernels are pure array functions — no :class:`Tensor` anywhere — and
+callers reach them only by name through
+:meth:`repro.backend.core.Backend.kernel`.
 """
 
 from __future__ import annotations
@@ -591,7 +590,7 @@ def binary_concrete_backward(grad: np.ndarray, cache: tuple) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Registration with the numpy backend
+# Registration in the kernel table
 # ----------------------------------------------------------------------
 _KERNELS = {
     "lstm_sequence_forward": lstm_sequence_forward,
@@ -614,6 +613,6 @@ _KERNELS = {
     "dropout_backward": dropout_backward,
 }
 
-_numpy_backend = get_backend("numpy")
+_table = get_backend()
 for _name, _fn in _KERNELS.items():
-    _numpy_backend.register_kernel(_name, _fn)
+    _table.register_kernel(_name, _fn)

@@ -13,7 +13,7 @@ translate the existing snapshots into metric families at scrape time:
   ``repro_pool_retained_bytes`` / ``repro_pool_threads`` gauges from
   :func:`repro.backend.pool.pool_stats`.
 
-:func:`register_backend_collectors` wires both into a
+:func:`attach_backend_collectors` wires both into a
 :class:`~repro.obs.metrics.MetricsRegistry` together with their reset
 hooks, so ``registry.reset()`` zeroes kernel timings and the pool ledger
 in the same sweep as the serving-layer instruments.
@@ -83,7 +83,7 @@ def pool_collector() -> list:
     ]
 
 
-def register_backend_collectors(registry: MetricsRegistry) -> MetricsRegistry:
+def attach_backend_collectors(registry: MetricsRegistry) -> MetricsRegistry:
     """Attach kernel + pool collectors (with resets) to ``registry``."""
     registry.register_collector(kernel_collector, reset=reset_kernel_timings)
     registry.register_collector(pool_collector, reset=reset_pool_stats)

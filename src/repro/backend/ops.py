@@ -1,7 +1,7 @@
 """Autograd-level fused operations.
 
-Each function here builds *one* graph node backed by the active backend's fused kernels, instead of the chain of
-elementary nodes the composed reference implementations in
+Each function here builds *one* graph node backed by a fused kernel of the
+kernel table, instead of the chain of elementary nodes the composed reference implementations in
 :mod:`repro.autograd` create.  The thin wrappers in
 :mod:`repro.autograd.functional` dispatch to these when
 :func:`repro.backend.core.fusion_enabled` is true;

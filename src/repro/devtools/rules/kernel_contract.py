@@ -1,8 +1,8 @@
 """kernel-contract: every registered forward kernel has a backward + gradcheck.
 
-The backend kernel registry promises that any ``*_forward`` name can be
-taken over by an accelerated backend and validated against the composed
-reference graph.  That promise has two halves this rule checks statically:
+The backend kernel table promises that every ``*_forward`` kernel is
+validated against the composed reference graph.  That promise has two
+halves this rule checks statically:
 
 1. every registered ``X_forward`` has at least one registered
    ``X_backward*`` partner (``_backward``, ``_backward_h``, ...);
@@ -11,8 +11,7 @@ reference graph.  That promise has two halves this rule checks statically:
    keeps "gradcheck-validated" true as kernels are added.
 
 Registrations are read from ``_KERNELS``-style dict literals and from
-``register_kernel("name", ...)`` calls in any ``repro/backend`` module,
-so a future accelerated backend's roster is held to the same contract.
+``register_kernel("name", ...)`` calls in any ``repro/backend`` module.
 """
 
 from __future__ import annotations

@@ -4,11 +4,10 @@ Two halves:
 
 1. **Kernels are dispatched, never imported.**  Model/experiment code
    must reach fused kernels through ``get_backend().kernel(name)`` (or
-   the thin wrappers in ``repro.backend.ops``), so an accelerated
-   backend that re-registers a name takes over every call site.  A
-   direct ``from repro.backend.kernels import ...`` outside
-   ``repro/backend/`` pins the numpy implementation and silently opts
-   that call site out of backend selection.
+   the thin wrappers in ``repro.backend.ops``), the one dispatch point
+   where per-kernel timing is accounted.  A direct
+   ``from repro.backend.kernels import ...`` outside ``repro/backend/``
+   silently opts that call site out of the kernel timings.
 
 2. **Registered methods are reachable.**  ``repro.serve`` and the spec
    catalog resolve model families through
@@ -54,8 +53,7 @@ def _check_kernel_imports(project: Project) -> Iterator[Finding]:
                     f"{offending}: kernels must be invoked via backend "
                     "registry dispatch (get_backend().kernel(name) / "
                     "repro.backend.ops), not imported directly — direct "
-                    "imports pin the numpy implementation and bypass "
-                    "accelerated backends",
+                    "imports bypass the kernel table and its timings",
                 )
 
 

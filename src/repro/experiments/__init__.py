@@ -1,55 +1,9 @@
-"""The experiment harness: profiles, CLI, sweeps, and the legacy runners.
+"""The experiment harness: the CLI, sweeps, multi-seed runs and benches.
 
 Every paper table/figure lives in the declarative spec catalog
-(:mod:`repro.api.experiments`); the ``run_*`` entry points re-exported
-here are thin shims over it, kept for their historical signatures.
-Everything is parameterized by an :class:`ExperimentProfile` so
-benchmarks run a scaled-down (but shape-preserving) version while users
-can scale up.
+(:mod:`repro.api.experiments`) and runs through
+:func:`repro.api.execute_spec`; single methods train through
+:class:`repro.api.Estimator`.  Everything is parameterized by an
+:class:`repro.api.profiles.ExperimentProfile`, so benchmarks run a
+scaled-down (but shape-preserving) version while users can scale up.
 """
-
-from repro.experiments.config import ExperimentProfile, FAST_PROFILE, FULL_PROFILE
-from repro.experiments.runner import (
-    make_model,
-    run_method,
-    run_beer_comparison,
-    run_hotel_comparison,
-    run_low_sparsity,
-    run_bert_comparison,
-    run_skewed_predictor,
-    run_skewed_generator,
-    run_complexity_table,
-    run_dataset_statistics,
-    run_fig3_relationship,
-    run_fig3_accuracy_gap,
-    run_table1_fulltext_scores,
-    run_fig6_dar_fulltext,
-    run_ablation_frozen_discriminator,
-    run_ablation_discriminator_weight,
-    run_ablation_sampler,
-    METHOD_REGISTRY,
-)
-
-__all__ = [
-    "ExperimentProfile",
-    "FAST_PROFILE",
-    "FULL_PROFILE",
-    "make_model",
-    "run_method",
-    "run_beer_comparison",
-    "run_hotel_comparison",
-    "run_low_sparsity",
-    "run_bert_comparison",
-    "run_skewed_predictor",
-    "run_skewed_generator",
-    "run_complexity_table",
-    "run_dataset_statistics",
-    "run_fig3_relationship",
-    "run_fig3_accuracy_gap",
-    "run_table1_fulltext_scores",
-    "run_fig6_dar_fulltext",
-    "run_ablation_frozen_discriminator",
-    "run_ablation_discriminator_weight",
-    "run_ablation_sampler",
-    "METHOD_REGISTRY",
-]

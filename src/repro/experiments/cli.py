@@ -63,8 +63,8 @@ from pathlib import Path
 from typing import Callable
 
 from repro.api.experiments import catalog
+from repro.api.profiles import FAST_PROFILE, FULL_PROFILE, ExperimentProfile
 from repro.api.spec import ExperimentSpec, render_spec
-from repro.experiments import config as config_mod
 from repro.utils import render_table
 
 
@@ -231,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_profile(args: argparse.Namespace) -> config_mod.ExperimentProfile:
+def resolve_profile(args: argparse.Namespace) -> ExperimentProfile:
     """Apply CLI overrides to the chosen base profile."""
-    profile = config_mod.FAST_PROFILE if args.profile == "fast" else config_mod.FULL_PROFILE
+    profile = FAST_PROFILE if args.profile == "fast" else FULL_PROFILE
     overrides = {}
     if args.n_train is not None:
         overrides["n_train"] = args.n_train

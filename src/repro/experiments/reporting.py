@@ -1,6 +1,6 @@
 """Persisting experiment results.
 
-Spec executions (and the legacy runner shims) return plain dict rows;
+Spec executions return plain dict rows;
 this module writes them to JSON (for machine consumption) and markdown
 (for reports), and can reload JSON results for later comparison — e.g.
 diffing two commits' Table II.  :func:`save_spec_result` embeds the

@@ -12,10 +12,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.api.estimator import build_model, train_config
+from repro.api.profiles import ExperimentProfile
+from repro.api.registry import get_method
 from repro.core.trainer import train_rationalizer
 from repro.data.dataset import AspectDataset
-from repro.experiments.config import ExperimentProfile
-from repro.experiments.runner import make_model, train_config_for
 
 
 @dataclass
@@ -53,12 +54,13 @@ def run_with_seeds(
     sampling and the model initialization vary across runs — the honest
     notion of variance for synthetic-data experiments.
     """
+    info = get_method(method)
     rows = []
     for seed in seeds:
         dataset = dataset_builder(seed)
         seeded_profile = profile.scaled(seed=seed)
-        model = make_model(method, dataset, seeded_profile, alpha=alpha)
-        config = train_config_for(method, seeded_profile)
+        model = build_model(info, dataset, seeded_profile, alpha=alpha)
+        config = train_config(info, seeded_profile)
         result = train_rationalizer(model, dataset, config)
         rows.append(
             {

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.api.estimator import Estimator
 from repro.data.dataset import AspectDataset
-from repro.experiments.config import ExperimentProfile
+from repro.api.profiles import ExperimentProfile
 
 
 @dataclass

@@ -5,7 +5,7 @@ the dotted names from :meth:`Module.named_parameters`) plus two
 JSON-encoded blobs: a *config* describing how to rebuild the module (see
 :mod:`repro.serve.registry` for the standard schema) and a *metadata*
 record written automatically — format version, parameter dtype, the
-backend active at save time, and the package version.  Any RNP-family
+array backend (always ``"numpy"``), and the package version.  Any RNP-family
 model (including the baselines) round-trips through this format.
 
 Checkpoints written before the metadata record existed (format version 0)
@@ -22,7 +22,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.backend.core import get_backend
 from repro.nn.module import Module
 
 PathLike = Union[str, Path]
@@ -56,7 +55,7 @@ def checkpoint_metadata(model: Module) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "dtype": dtype,
-        "backend": get_backend().name,
+        "backend": "numpy",
         "repro_version": repro.__version__,
     }
 
@@ -67,7 +66,7 @@ def save_model(model: Module, path: PathLike, config: Optional[dict] = None) -> 
     ``config`` must be JSON-serializable; it is stored alongside the
     parameters so :func:`load_model` can rebuild the module without
     out-of-band information.  A metadata record (format version, parameter
-    dtype, active backend, package version) is embedded automatically.
+    dtype, backend, package version) is embedded automatically.
     """
     path = Path(path)
     arrays = dict(model.state_dict())

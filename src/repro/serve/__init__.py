@@ -6,7 +6,7 @@ layers (bottom-up):
 - :mod:`~repro.serve.registry` — the **model artifact registry**:
   discovers ``.npz`` checkpoints written by :func:`save_artifact`,
   rebuilds any RNP-family model from its embedded config, and pins it to
-  a named backend + float dtype.
+  a float dtype.
 - :mod:`~repro.serve.scheduler` — the **dynamic micro-batching
   scheduler**: coalesces concurrent single-sentence requests into
   length-bucketed batches (``max_batch_size`` / ``max_wait_ms`` knobs)

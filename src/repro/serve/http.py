@@ -32,6 +32,7 @@ shutdown (503) rejections.  No third-party dependencies;
 from __future__ import annotations
 
 import json
+import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -42,6 +43,8 @@ from repro.serve.ops import OPS, Op, RequestError
 from repro.serve.service import RationalizationService
 
 _MAX_BODY_BYTES = 1 << 20  # 1 MiB: single sentences, not documents
+
+_log = logging.getLogger(__name__)
 
 #: ``(verb, route) -> op``; ``/v1/rationalize`` maps to ``rationalize``
 #: (the first op declared on it, hence the reversed walk) and switches
@@ -126,6 +129,7 @@ class _Handler(BaseHTTPRequestHandler):
         route = self.path
         op = _ROUTES.get((verb, route))
         status = 200
+        request_id = None
         try:
             if op is None and (verb, route) != ("GET", "/tracez"):
                 route = "unknown"
@@ -145,6 +149,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_text(text, _PROM_CONTENT_TYPE)
             else:
                 body = self._read_json() if verb == "POST" else {}
+                request_id = body.get("request_id")
                 op = _select(op, body)
                 result = self.service.call(op.name, body)
                 self._send_json({op.envelope: result} if op.envelope else result)
@@ -156,6 +161,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(body, status=exc.status)
         except Exception as exc:
             status = 500
+            _log.exception(
+                "%s %s failed with 500 (request_id=%s)", verb, self.path, request_id
+            )
             self._send_json({"error": str(exc)}, status=500)
         self._count(route, status)
 

@@ -40,6 +40,7 @@ the same leaf-lock convention the rest of the serve tier follows.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 from collections import deque
@@ -52,6 +53,8 @@ from repro.serve.registry import LifecycleError, parse_model_ref
 
 #: Queue sentinel shutting down a ShadowMirror's worker thread.
 _STOP = object()
+
+_log = logging.getLogger(__name__)
 
 
 class RequestLog:
@@ -155,16 +158,21 @@ class ShadowMirror:
         request_id: Optional[str] = None,
     ) -> bool:
         """Queue one champion response for mirroring; never blocks."""
-        if self._closed:
-            self._m_dropped.inc(model=self.model)
-            return False
         item = {
             "request_id": request_id,
             "token_ids": [int(t) for t in token_ids],
             "champion": champion,
         }
+        # The closed check and the pending increment are one step under
+        # the condition, so close() either sees this mirror pending (and
+        # drains it before stopping the worker) or this call sees closed.
         with self._cond:
-            self._pending += 1
+            closed = self._closed
+            if not closed:
+                self._pending += 1
+        if closed:
+            self._m_dropped.inc(model=self.model)
+            return False
         try:
             self._queue.put_nowait(item)
         except Full:
@@ -198,6 +206,10 @@ class ShadowMirror:
                 self._file.flush()
                 self._m_mirrored.inc(model=self.model)
             except Exception:
+                _log.exception(
+                    "shadow mirror of %s@%s failed (request_id=%s)",
+                    self.model, self.version, item["request_id"],
+                )
                 self._m_errors.inc(model=self.model)
             finally:
                 with self._cond:
@@ -217,9 +229,10 @@ class ShadowMirror:
 
     def close(self, timeout: float = 10.0) -> None:
         """Drain outstanding mirrors, stop the worker, close the log."""
-        if self._closed:
-            return
-        self._closed = True
+        with self._cond:
+            if self._closed:
+                return
+            self._closed = True
         self.drain(timeout)
         self._queue.put(_STOP)
         self._thread.join(timeout)

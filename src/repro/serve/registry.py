@@ -5,8 +5,8 @@ A *serving artifact* is a ``.npz`` checkpoint written by
 :func:`repro.serialization.save_model` that embeds the standard config
 schema).  The registry side rebuilds any RNP-family model — vanilla RNP,
 DAR, and every baseline — from that embedded config alone, loads its
-parameters, and pins it to a named backend and float dtype so the serving
-path never silently promotes activations off the fast path.
+parameters, and pins it to a float dtype so the serving path never
+silently promotes activations off the fast path.
 
 Config schema (JSON, embedded in the checkpoint)::
 
@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.backend.core import canonical_dtype, default_dtype, get_backend, use_backend
+from repro.backend.core import canonical_dtype, default_dtype
 from repro.data.vocabulary import Vocabulary
 from repro.serialization import PathLike, load_checkpoint, save_model, validate_state
 from repro.core.inference import InferenceSession
@@ -179,7 +179,7 @@ def save_artifact(model, path: PathLike, vocab: Optional[Vocabulary] = None) -> 
 
 @dataclass
 class ModelArtifact:
-    """One loaded, servable model version pinned to a backend and dtype."""
+    """One loaded, servable model version pinned to a float dtype."""
 
     name: str
     path: str
@@ -187,7 +187,6 @@ class ModelArtifact:
     config: dict
     meta: dict
     model: object
-    backend: str
     dtype: str
     vocab: Optional[Vocabulary] = None
     #: Version identifier within the model's version set and the
@@ -212,7 +211,6 @@ class ModelArtifact:
             "state": self.state,
             "family": self.family,
             "path": self.path,
-            "backend": self.backend,
             "dtype": self.dtype,
             "parameters": int(self.model.num_parameters()),
             "vocab_size": int(self.config.get("arch", {}).get("vocab_size", 0)),
@@ -226,17 +224,13 @@ class ModelRegistry:
 
     Parameters
     ----------
-    backend:
-        Named backend (see :func:`repro.backend.register_backend`) every
-        artifact's forward passes run on.
     dtype:
         Serving float dtype (``"float32"`` or ``"float64"``).  Parameters
         are cast at load time; ``None`` keeps each checkpoint's own dtype
         (recorded in its metadata).
     """
 
-    def __init__(self, backend: Optional[str] = None, dtype: Optional[str] = None):
-        self.backend = backend or get_backend().name
+    def __init__(self, dtype: Optional[str] = None):
         self.dtype = str(canonical_dtype(dtype)) if dtype is not None else None
         #: name -> version -> artifact; live/previous are per-name version
         #: pointers (previous = the one retained rollback target).
@@ -271,7 +265,7 @@ class ModelRegistry:
             )
         target_dtype = np.dtype(self.dtype or meta.get("dtype", "float64"))
         try:
-            with use_backend(self.backend), default_dtype(target_dtype):
+            with default_dtype(target_dtype):
                 model = build_model(config)
             validate_state(model, state, meta, source=str(path))
         except (ValueError, KeyError) as exc:
@@ -296,7 +290,6 @@ class ModelRegistry:
             config=config,
             meta=meta,
             model=model,
-            backend=self.backend,
             dtype=str(target_dtype),
             vocab=vocab,
         )

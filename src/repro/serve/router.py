@@ -244,7 +244,7 @@ class ShardRouter:
     max_inflight_per_worker:
         Outstanding-request budget per shard; when every shard is at
         budget new requests fail fast with :class:`OverloadedError`.
-    max_batch_size, max_wait_ms, bucket_width, cache_size, fused, backend, dtype:
+    max_batch_size, max_wait_ms, bucket_width, cache_size, fused, dtype:
         Per-shard service knobs (see :class:`RationalizationService`).
     request_timeout_s:
         How long a caller waits for a shard's answer before a 504.
@@ -262,7 +262,6 @@ class ShardRouter:
         bucket_width: int = 16,
         cache_size: int = 1024,
         fused: bool = True,
-        backend: Optional[str] = None,
         dtype: Optional[str] = "float32",
         request_timeout_s: float = 60.0,
         mp_context: Optional[str] = None,
@@ -283,7 +282,6 @@ class ShardRouter:
         self.started_at = time.time()
         self._shard_kwargs = dict(
             checkpoints=tuple(self._normalize(checkpoints)),
-            backend=backend,
             dtype=dtype,
             max_batch_size=max_batch_size,
             max_wait_ms=max_wait_ms,

@@ -60,7 +60,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.backend.core import fusion, kernel_timing
-from repro.backend.obs import register_backend_collectors
+from repro.backend.obs import attach_backend_collectors
 from repro.core.inference import InferenceSession
 from repro.data.batching import Batch
 from repro.data.dataset import ReviewExample
@@ -118,7 +118,7 @@ class RationalizationService:
         drain_timeout_s: float = 30.0,
     ):
         self.registry = registry
-        self.metrics = register_backend_collectors(MetricsRegistry())
+        self.metrics = attach_backend_collectors(MetricsRegistry())
         self.trace_log = TraceLog(capacity=trace_capacity)
         self.cache = RationaleCache(cache_size, metrics=self.metrics)
         self.fused = bool(fused)

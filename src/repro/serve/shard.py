@@ -69,7 +69,6 @@ class WorkerConfig:
     worker_id: int
     #: ``(name, path)`` pairs of serving artifacts to load.
     checkpoints: tuple = ()
-    backend: Optional[str] = None
     dtype: Optional[str] = "float32"
     max_batch_size: int = 32
     max_wait_ms: float = 2.0
@@ -89,7 +88,7 @@ def _build_service(config: WorkerConfig):
     from repro.serve.registry import ModelRegistry
     from repro.serve.service import RationalizationService
 
-    registry = ModelRegistry(backend=config.backend, dtype=config.dtype)
+    registry = ModelRegistry(dtype=config.dtype)
     for name, path in config.checkpoints:
         registry.register_file(path, name=name)
     if not len(registry):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.api import Estimator, FitReport
 from repro.api.estimator import route_overrides
-from repro.experiments import ExperimentProfile
+from repro.api.profiles import ExperimentProfile
 
 TINY = ExperimentProfile(
     n_train=40, n_dev=16, n_test=16, hidden_size=8, epochs=1, batch_size=20, pretrain_epochs=1

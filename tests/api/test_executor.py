@@ -25,7 +25,7 @@ from repro.api.executor import (
 )
 from repro.api.experiments import catalog, skewed_predictor_spec
 from repro.api.store import RUN_TABLE_BASE_COLUMNS, RunStore, run_identity
-from repro.experiments import ExperimentProfile
+from repro.api.profiles import ExperimentProfile
 from repro.experiments.reporting import load_rows_json
 
 TINY = ExperimentProfile(

@@ -12,7 +12,7 @@ from repro.api.experiments import (
     skewed_predictor_spec,
 )
 from repro.api.spec import build_dataset, get_dataset_family
-from repro.experiments import ExperimentProfile
+from repro.api.profiles import ExperimentProfile
 
 TINY = ExperimentProfile(
     n_train=40, n_dev=16, n_test=16, hidden_size=8, epochs=1, batch_size=20, pretrain_epochs=1

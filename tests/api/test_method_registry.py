@@ -4,7 +4,6 @@ import pytest
 
 from repro.api import (
     METHODS,
-    MethodRegistryView,
     get_method,
     method_names,
     register_method,
@@ -56,11 +55,10 @@ class TestPluginSurface:
             assert info.cls is TestOnly
             assert info.selection == "dev_acc"
             assert info.default_overrides == {"lambda_sparsity": 2.0}
-            # The legacy view and serve families see it with no edits.
-            from repro.experiments import METHOD_REGISTRY
+            # The method roster and serve families see it with no edits.
             from repro.serve import model_families
 
-            assert METHOD_REGISTRY["TestOnly"] is TestOnly
+            assert "TestOnly" in method_names()
             assert model_families()["TestOnly"] is TestOnly
         finally:
             unregister_method("TestOnly")
@@ -82,11 +80,3 @@ class TestPluginSurface:
     def test_invalid_selection_rejected(self):
         with pytest.raises(ValueError, match="selection"):
             register_method("X", selection="bogus")
-
-
-class TestRegistryView:
-    def test_view_is_live_mapping(self):
-        view = MethodRegistryView()
-        assert len(view) == len(METHODS)
-        assert set(view) == set(METHODS)
-        assert view["RNP"] is RNP

@@ -22,8 +22,9 @@ def rng():
 
 class TestRegistry:
     def test_numpy_backend_registered(self):
-        assert "numpy" in backend.available_backends()
-        assert backend.get_backend().name == "numpy"
+        table = backend.get_backend()
+        assert isinstance(table, backend.Backend)
+        assert backend.get_backend() is table
 
     def test_all_kernels_registered(self):
         names = backend.get_backend().kernels()
@@ -36,18 +37,6 @@ class TestRegistry:
     def test_missing_kernel_raises(self):
         with pytest.raises(KeyError, match="no kernel"):
             backend.get_backend().kernel("does_not_exist")
-
-    def test_custom_backend_roundtrip(self):
-        class Stub(backend.NumpyBackend):
-            name = "stub"
-
-        backend.register_backend(Stub())
-        try:
-            with backend.use_backend("stub"):
-                assert backend.get_backend().name == "stub"
-            assert backend.get_backend().name == "numpy"
-        finally:
-            backend.set_backend("numpy")
 
 
 class TestFusedSoftmaxXent:

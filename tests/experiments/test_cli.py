@@ -33,7 +33,7 @@ class TestProfileResolution:
     def test_default_fast(self):
         args = build_parser().parse_args(["--artifact", "table9"])
         profile = resolve_profile(args)
-        from repro.experiments import FAST_PROFILE
+        from repro.api.profiles import FAST_PROFILE
 
         assert profile == FAST_PROFILE
 

@@ -79,7 +79,7 @@ class TestDiff:
 class TestSaveSpecResult:
     def test_embeds_spec_and_flattens_grouped_result(self, tmp_path):
         from repro.api import ExperimentSpec
-        from repro.experiments import FAST_PROFILE
+        from repro.api.profiles import FAST_PROFILE
         from repro.experiments.reporting import load_rows_json, save_spec_result
 
         spec = ExperimentSpec(

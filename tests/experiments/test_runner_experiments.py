@@ -1,4 +1,4 @@
-"""Tiny-scale smoke runs of the per-artifact experiment runners.
+"""Tiny-scale smoke runs of the per-artifact catalog specs.
 
 Each runner trains real (tiny) models, so these are integration tests of
 the full experiment plumbing rather than of model quality.
@@ -7,22 +7,23 @@ the full experiment plumbing rather than of model quality.
 import numpy as np
 import pytest
 
-from repro.experiments import (
-    ExperimentProfile,
-    run_ablation_discriminator_weight,
-    run_ablation_frozen_discriminator,
-    run_ablation_sampler,
-    run_beer_comparison,
-    run_bert_comparison,
-    run_fig3_accuracy_gap,
-    run_fig3_relationship,
-    run_fig6_dar_fulltext,
-    run_hotel_comparison,
-    run_low_sparsity,
-    run_skewed_generator,
-    run_skewed_predictor,
-    run_table1_fulltext_scores,
+from repro.api.experiments import (
+    ablation_frozen_spec,
+    ablation_sampler_spec,
+    ablation_weight_spec,
+    beer_comparison_spec,
+    bert_comparison_spec,
+    fig3_accuracy_gap_spec,
+    fig3_relationship_spec,
+    fig6_dar_fulltext_spec,
+    hotel_comparison_spec,
+    low_sparsity_spec,
+    skewed_generator_spec,
+    skewed_predictor_spec,
+    table1_fulltext_spec,
 )
+from repro.api.profiles import ExperimentProfile
+from repro.api.spec import execute_spec
 
 TINY = ExperimentProfile(
     n_train=40, n_dev=16, n_test=16, hidden_size=8, epochs=1,
@@ -32,36 +33,37 @@ TINY = ExperimentProfile(
 
 class TestComparisonRunners:
     def test_beer_comparison_structure(self):
-        results = run_beer_comparison(TINY, methods=("RNP", "DAR"), aspects=("Palate",))
+        spec = beer_comparison_spec(methods=("RNP", "DAR"), aspects=("Palate",))
+        results = execute_spec(spec, TINY)
         assert set(results) == {"Palate"}
         assert [r["method"] for r in results["Palate"]] == ["RNP", "DAR"]
 
     def test_hotel_comparison_structure(self):
-        results = run_hotel_comparison(TINY, methods=("RNP",), aspects=("Location",))
+        results = execute_spec(hotel_comparison_spec(methods=("RNP",), aspects=("Location",)), TINY)
         assert set(results) == {"Location"}
 
     def test_low_sparsity_respects_alpha(self):
-        results = run_low_sparsity(TINY, methods=("SPECTRA",), aspects=("Aroma",), sparsity=0.1)
+        spec = low_sparsity_spec(methods=("SPECTRA",), aspects=("Aroma",), sparsity=0.1)
+        results = execute_spec(spec, TINY)
         row = results["Aroma"][0]
         # SPECTRA enforces the budget deterministically.
         assert row["S"] <= 25.0
 
     def test_bert_comparison_runs(self):
-        rows = run_bert_comparison(TINY, methods=("RNP",))
+        rows = execute_spec(bert_comparison_spec(methods=("RNP",)), TINY)
         assert rows[0]["method"] == "RNP"
 
 
 class TestSkewRunners:
     def test_skewed_predictor_rows(self):
-        rows = run_skewed_predictor(
-            TINY, methods=("RNP",), aspects=("Aroma",), skew_epochs=(1,)
-        )
+        spec = skewed_predictor_spec(methods=("RNP",), aspects=("Aroma",), skew_epochs=(1,))
+        rows = execute_spec(spec, TINY)
         assert len(rows) == 1
         assert rows[0]["setting"] == "skew1"
         assert rows[0]["aspect"] == "Aroma"
 
     def test_skewed_generator_rows(self):
-        rows = run_skewed_generator(TINY, methods=("RNP",), thresholds=(55.0,))
+        rows = execute_spec(skewed_generator_spec(methods=("RNP",), thresholds=(55.0,)), TINY)
         assert len(rows) == 1
         assert rows[0]["setting"] == "skew55.0"
         assert "Pre_acc" in rows[0]
@@ -69,21 +71,24 @@ class TestSkewRunners:
 
 class TestProbeRunners:
     def test_fig3_relationship_rows(self):
-        rows = run_fig3_relationship(TINY, param_sets=({"lr": 2e-3, "batch_size": 20, "hidden_size": 8},))
+        spec = fig3_relationship_spec(
+            param_sets=({"lr": 2e-3, "batch_size": 20, "hidden_size": 8},)
+        )
+        rows = execute_spec(spec, TINY)
         assert rows[0]["param_set"] == "Param1"
         assert 0 <= rows[0]["full_text_acc"] <= 100
 
     def test_fig3_gap_rows(self):
-        rows = run_fig3_accuracy_gap(TINY, aspects=("Service",))
+        rows = execute_spec(fig3_accuracy_gap_spec(aspects=("Service",)), TINY)
         assert len(rows) == 1
         assert {"rationale_acc", "full_text_acc"} <= set(rows[0])
 
     def test_table1_rows(self):
-        rows = run_table1_fulltext_scores(TINY, aspects=("Location",))
+        rows = execute_spec(table1_fulltext_spec(aspects=("Location",)), TINY)
         assert rows[0]["aspect"] == "Location"
 
     def test_fig6_covers_six_aspects(self):
-        rows = run_fig6_dar_fulltext(TINY)
+        rows = execute_spec(fig6_dar_fulltext_spec(), TINY)
         assert len(rows) == 6
         assert {r["aspect"] for r in rows} == {
             "Beer-Appearance", "Beer-Aroma", "Beer-Palate",
@@ -93,13 +98,13 @@ class TestProbeRunners:
 
 class TestAblationRunners:
     def test_frozen_discriminator_two_variants(self):
-        rows = run_ablation_frozen_discriminator(TINY)
+        rows = execute_spec(ablation_frozen_spec(), TINY)
         assert len(rows) == 2
 
     def test_weight_sweep(self):
-        rows = run_ablation_discriminator_weight(TINY, weights=(0.0, 1.0))
+        rows = execute_spec(ablation_weight_spec(weights=(0.0, 1.0)), TINY)
         assert [r["weight"] for r in rows] == [0.0, 1.0]
 
     def test_sampler_sweep(self):
-        rows = run_ablation_sampler(TINY, samplers=("gumbel", "topk"))
+        rows = execute_spec(ablation_sampler_spec(samplers=("gumbel", "topk")), TINY)
         assert {r["sampler"] for r in rows} == {"gumbel", "topk"}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.data import build_beer_dataset
-from repro.experiments import ExperimentProfile
+from repro.api.profiles import ExperimentProfile
 from repro.experiments.seeds import SeedAggregate, run_with_seeds
 
 TINY = ExperimentProfile(n_train=40, n_dev=16, n_test=16, hidden_size=8, epochs=1, batch_size=20, pretrain_epochs=1)

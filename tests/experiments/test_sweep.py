@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments import ExperimentProfile
+from repro.api.profiles import ExperimentProfile
 from repro.experiments.sweep import SweepResult, grid, run_sweep
 
 TINY = ExperimentProfile(n_train=40, n_dev=16, n_test=16, hidden_size=8, epochs=1, batch_size=20, pretrain_epochs=1)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.data import build_beer_dataset
-from repro.experiments import ExperimentProfile, run_method
+from repro.api import Estimator
+from repro.api.profiles import ExperimentProfile
 
 PROFILE = ExperimentProfile(
     n_train=120, n_dev=40, n_test=40, hidden_size=12, epochs=2,
@@ -26,7 +27,7 @@ def dataset():
 
 @pytest.mark.parametrize("method", METHODS)
 def test_method_trains_end_to_end(method, dataset):
-    row = run_method(method, dataset, PROFILE)
+    row = Estimator(method, profile=PROFILE).fit(dataset).as_row()
     assert row["method"] == method
     assert 0.0 <= row["F1"] <= 100.0
     assert 0.0 <= row["S"] <= 100.0
@@ -41,5 +42,5 @@ def test_method_trains_end_to_end(method, dataset):
 def test_transformer_encoder_pipeline(dataset):
     """The Table VI code path (transformer encoders) works for RNP and DAR."""
     for method in ("RNP", "DAR"):
-        row = run_method(method, dataset, PROFILE, encoder="transformer")
+        row = Estimator(method, profile=PROFILE, encoder="transformer").fit(dataset).as_row()
         assert 0.0 <= row["F1"] <= 100.0

@@ -23,8 +23,9 @@ from repro.core.trainer import (
     train_rationalizer,
 )
 from repro.data import build_beer_dataset
-from repro.experiments import ExperimentProfile
-from repro.experiments.runner import make_model, train_config_for
+from repro.api import get_method
+from repro.api.estimator import build_model, train_config
+from repro.api.profiles import ExperimentProfile
 
 PROFILE = ExperimentProfile(
     n_train=80, n_dev=24, n_test=24, hidden_size=8, epochs=2,
@@ -41,8 +42,8 @@ def dataset():
 
 
 def _train(method, dataset, bucketing):
-    model = make_model(method, dataset, PROFILE)
-    config = train_config_for(method, PROFILE, bucketing=bucketing)
+    model = build_model(get_method(method), dataset, PROFILE)
+    config = train_config(get_method(method), PROFILE, bucketing=bucketing)
     result = train_rationalizer(model, dataset, config)
     return model, result
 

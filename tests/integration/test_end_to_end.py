@@ -17,7 +17,9 @@ from repro.core import (
     train_rationalizer,
 )
 from repro.data import build_beer_dataset
-from repro.experiments import ExperimentProfile, make_model, run_method
+from repro.api import Estimator, get_method
+from repro.api.estimator import build_model
+from repro.api.profiles import ExperimentProfile
 
 
 @pytest.fixture(scope="module")
@@ -33,14 +35,14 @@ PROFILE = ExperimentProfile(
 
 class TestDARLearnsRationales:
     def test_dar_beats_random_selection_by_far(self, dataset):
-        row = run_method("DAR", dataset, PROFILE)
+        row = Estimator("DAR", profile=PROFILE).fit(dataset).as_row()
         # Random selection at gold sparsity would give F1 ~= sparsity (~12).
         assert row["F1"] > 35.0
 
     def test_dar_predictor_generalizes_to_full_text(self, dataset):
         """Theorem 1 / Fig. 6: despite never seeing full text during the
         cooperative game, DAR's predictor classifies it well."""
-        model = make_model("DAR", dataset, PROFILE)
+        model = build_model(get_method("DAR"), dataset, PROFILE)
         config = TrainConfig(epochs=PROFILE.epochs, batch_size=PROFILE.batch_size,
                              lr=PROFILE.lr, seed=0, selection="dev_acc",
                              pretrain_epochs=PROFILE.pretrain_epochs)
@@ -49,7 +51,7 @@ class TestDARLearnsRationales:
         assert full.accuracy > 70.0
 
     def test_dar_improves_over_training(self, dataset):
-        model = make_model("DAR", dataset, PROFILE)
+        model = build_model(get_method("DAR"), dataset, PROFILE)
         config = TrainConfig(epochs=PROFILE.epochs, batch_size=PROFILE.batch_size,
                              lr=PROFILE.lr, seed=0, pretrain_epochs=PROFILE.pretrain_epochs)
         result = train_rationalizer(model, dataset, config)
@@ -62,14 +64,14 @@ class TestRationaleShiftSeparation:
     def test_dar_outperforms_rnp(self, dataset):
         """The headline comparison (Tables II/III): under identical budgets
         DAR's rationale F1 exceeds vanilla RNP's."""
-        rnp_row = run_method("RNP", dataset, PROFILE)
-        dar_row = run_method("DAR", dataset, PROFILE)
+        rnp_row = Estimator("RNP", profile=PROFILE).fit(dataset).as_row()
+        dar_row = Estimator("DAR", profile=PROFILE).fit(dataset).as_row()
         assert dar_row["F1"] > rnp_row["F1"]
 
     def test_rnp_degeneration_detectable_on_full_text(self, dataset):
         """Fig. 3b: when RNP's rationale quality is poor, its predictor's
         full-text accuracy lags the rationale accuracy."""
-        model = make_model("RNP", dataset, PROFILE)
+        model = build_model(get_method("RNP"), dataset, PROFILE)
         config = TrainConfig(epochs=PROFILE.epochs, batch_size=PROFILE.batch_size,
                              lr=PROFILE.lr, seed=0, selection="dev_acc",
                              pretrain_epochs=1)
@@ -81,12 +83,12 @@ class TestRationaleShiftSeparation:
 
 class TestStateDictRoundTripAfterTraining:
     def test_save_load_preserves_metrics(self, dataset):
-        model = make_model("DAR", dataset, PROFILE.scaled(epochs=2))
+        model = build_model(get_method("DAR"), dataset, PROFILE.scaled(epochs=2))
         config = TrainConfig(epochs=2, batch_size=60, lr=2e-3, seed=0, pretrain_epochs=2)
         train_rationalizer(model, dataset, config)
         score_before = evaluate_rationale_quality(model, dataset.test)
 
-        clone = make_model("DAR", dataset, PROFILE.scaled(epochs=2), seed=99)
+        clone = build_model(get_method("DAR"), dataset, PROFILE.scaled(epochs=2), seed=99)
         clone.load_state_dict(model.state_dict())
         score_after = evaluate_rationale_quality(clone, dataset.test)
         assert score_after.f1 == pytest.approx(score_before.f1)

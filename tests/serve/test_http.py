@@ -1,5 +1,7 @@
 """HTTP JSON API + service + client round-trips against a live server."""
 
+import json
+import logging
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -221,6 +223,29 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=10)
         assert err.value.code == 400
+
+    def test_unexpected_error_500_is_logged_with_request_id(
+        self, served, monkeypatch, caplog
+    ):
+        server, service, _ = served
+
+        def broken(name, body):
+            raise RuntimeError("scheduler exploded")
+
+        monkeypatch.setattr(service, "call", broken)
+        body = {"model": "beer", "token_ids": [2, 3], "request_id": "req-500"}
+        request = urllib.request.Request(
+            server.url + "/v1/rationalize",
+            data=json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        with caplog.at_level(logging.ERROR, logger="repro.serve.http"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(request, timeout=10)
+        assert err.value.code == 500
+        [record] = [r for r in caplog.records if r.name == "repro.serve.http"]
+        assert "req-500" in record.getMessage()
+        assert record.exc_info[0] is RuntimeError
 
     def test_float_ids_rejected_not_truncated(self, socket_client):
         with pytest.raises(ServeClientError) as err:

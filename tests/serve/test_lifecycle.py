@@ -8,7 +8,9 @@ not to deadlock this time.
 """
 
 import json
+import logging
 import random
+import sys
 import threading
 import time
 
@@ -27,7 +29,8 @@ from repro.serve import (
 )
 from repro.serve.cache import rationale_key
 from repro.serve.diff import diff_report, shadow_diff_report
-from repro.serve.lifecycle import RequestLog
+from repro.obs import MetricsRegistry
+from repro.serve.lifecycle import RequestLog, ShadowMirror
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +270,78 @@ class TestCanaryShadow:
             )
             assert mirrored >= 1  # canary-routed requests are not mirrored
             assert "repro_deploy_total" in families
+
+
+class TestShadowMirror:
+    def test_close_during_submit_loses_no_mirror(self, tmp_path):
+        diff_log = tmp_path / "race.jsonl"
+        mirror = ShadowMirror(
+            "m", "2", run_challenger=lambda ids: {"label": 0, "rationale": []},
+            diff_path=str(diff_log), metrics=MetricsRegistry(),
+        )
+
+        class ClosesMirror(list):
+            """Token ids whose read runs close() in the middle of submit()."""
+
+            def __iter__(self):
+                mirror.close(timeout=1.0)
+                return super().__iter__()
+
+        accepted = mirror.submit(ClosesMirror([2, 3, 4]), {"version": "1"})
+        # Either the mirror was written before the worker stopped, or it
+        # was refused; it is never accepted and then silently lost.
+        assert mirror.pending() == 0
+        assert mirror.drain(0.5)
+        assert len(diff_log.read_text().splitlines()) == int(accepted)
+
+    def test_concurrent_submit_and_close_lose_nothing(self, tmp_path):
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(20):
+                diff_log = tmp_path / f"stress{round_}.jsonl"
+                mirror = ShadowMirror(
+                    "m", "2", run_challenger=lambda ids: {"label": 0, "rationale": []},
+                    diff_path=str(diff_log), metrics=MetricsRegistry(),
+                )
+                accepted = []
+
+                def submit_many():
+                    for _ in range(50):
+                        if mirror.submit(list(range(2, 500)), {"version": "1"}):
+                            accepted.append(1)
+
+                threads = [threading.Thread(target=submit_many) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                mirror.close(timeout=10.0)
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                assert all(not thread.is_alive() for thread in threads)
+                assert mirror.pending() == 0
+                assert len(diff_log.read_text().splitlines()) == len(accepted)
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_failed_challenger_is_logged_with_request_id(self, tmp_path, caplog):
+        def broken(ids):
+            raise RuntimeError("challenger down")
+
+        metrics = MetricsRegistry()
+        mirror = ShadowMirror(
+            "m", "2", run_challenger=broken,
+            diff_path=str(tmp_path / "d.jsonl"), metrics=metrics,
+        )
+        try:
+            with caplog.at_level(logging.ERROR, logger="repro.serve.lifecycle"):
+                assert mirror.submit([2, 3], {"version": "1"}, request_id="req-42")
+                assert mirror.drain(10.0)
+        finally:
+            mirror.close()
+        assert metrics.get("repro_canary_shadow_errors_total").value(model="m") == 1
+        [record] = [r for r in caplog.records if r.name == "repro.serve.lifecycle"]
+        assert "req-42" in record.getMessage()
+        assert record.exc_info[0] is RuntimeError
 
 
 class TestWarm:
