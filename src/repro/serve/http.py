@@ -44,6 +44,8 @@ from repro.serve.service import RationalizationService
 
 _MAX_BODY_BYTES = 1 << 20  # 1 MiB: single sentences, not documents
 
+_JSON = "application/json"
+
 _log = logging.getLogger(__name__)
 
 #: ``(verb, route) -> op``; ``/v1/rationalize`` maps to ``rationalize``
@@ -75,9 +77,6 @@ class _Handler(BaseHTTPRequestHandler):
         """Suppress per-request stderr logging unless ``quiet`` is off."""
         if not self.quiet:
             super().log_message(format, *args)
-
-    def _send_json(self, payload: dict, status: int = 200) -> None:
-        self._send_text(json.dumps(payload), "application/json", status)
 
     def _send_text(self, text: str, content_type: str, status: int = 200) -> None:
         body = text.encode("utf-8")
@@ -140,32 +139,34 @@ class _Handler(BaseHTTPRequestHandler):
                 raise RequestError(f"no route {self.path!r}", status=404)
             if op is None:
                 lines = self.service.trace_log.lines()
-                self._send_text(
-                    "\n".join(lines) + ("\n" if lines else ""),
-                    "application/x-ndjson; charset=utf-8",
-                )
+                text = "\n".join(lines) + ("\n" if lines else "")
+                content_type = "application/x-ndjson; charset=utf-8"
             elif op.name == "metrics":
                 text = render_prometheus(self.service.call("metrics", {}))
-                self._send_text(text, _PROM_CONTENT_TYPE)
+                content_type = _PROM_CONTENT_TYPE
             else:
                 body = self._read_json() if verb == "POST" else {}
                 request_id = body.get("request_id")
                 op = _select(op, body)
                 result = self.service.call(op.name, body)
-                self._send_json({op.envelope: result} if op.envelope else result)
+                text = json.dumps({op.envelope: result} if op.envelope else result)
+                content_type = _JSON
         except RequestError as exc:
             status = exc.status
             body = {"error": str(exc)}
             if exc.detail:
                 body["detail"] = exc.detail
-            self._send_json(body, status=exc.status)
+            text, content_type = json.dumps(body), _JSON
         except Exception as exc:
             status = 500
             _log.exception(
                 "%s %s failed with 500 (request_id=%s)", verb, self.path, request_id
             )
-            self._send_json({"error": str(exc)}, status=500)
+            text, content_type = json.dumps({"error": str(exc)}), _JSON
+        # Count before replying: a client that scrapes /metrics right after
+        # its response must find its own request counted.
         self._count(route, status)
+        self._send_text(text, content_type, status)
 
 
 class RationaleServer:

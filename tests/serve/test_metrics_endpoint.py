@@ -88,6 +88,25 @@ class TestMetricsEndpoint:
             families, "repro_http_requests_total", {"route": "/v1/rationalize", "status": "200"}
         ) == 7
 
+    def test_request_counted_before_its_reply_is_sent(self, service, monkeypatch):
+        from repro.serve.http import _Handler
+
+        with RationaleServer(service, port=0) as server:
+            client = Client(base_url=server.url)
+            client.health()
+            counter = service.metrics.get("repro_http_requests_total")
+            seen = []
+            send = _Handler._send_text
+
+            def recording_send(handler, text, content_type, status=200):
+                seen.append(counter.value(route="/healthz", status="200"))
+                send(handler, text, content_type, status)
+
+            monkeypatch.setattr(_Handler, "_send_text", recording_send)
+            client.health()
+        # A scrape issued the moment a response arrives must count it.
+        assert seen == [2.0]
+
     def test_debug_trace_spans_sum_to_latency(self, service):
         with RationaleServer(service, port=0) as server:
             client = Client(base_url=server.url)

@@ -191,7 +191,12 @@ class TestFailureHandling:
 
 class TestGracefulDrain:
     def test_drain_completes_inflight_rejects_new_no_orphans(self, checkpoint):
-        router = ShardRouter([checkpoint], workers=2, max_inflight_per_worker=64)
+        # A wave waits up to max_wait_ms for a full batch, so both payloads
+        # stay in flight long enough to be observed before close().
+        router = ShardRouter(
+            [checkpoint], workers=2, max_inflight_per_worker=64,
+            max_batch_size=64, max_wait_ms=500.0,
+        )
         results = []
 
         def call():
