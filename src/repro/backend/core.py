@@ -195,13 +195,8 @@ class Backend:
     def __init__(self) -> None:
         self._kernels: dict[str, Callable] = {}
 
-    def register_kernel(self, name: str, fn: Optional[Callable] = None):
-        """Register ``fn`` under ``name`` (usable as a decorator)."""
-        if fn is None:
-            def decorator(f: Callable) -> Callable:
-                self._kernels[name] = f
-                return f
-            return decorator
+    def register_kernel(self, name: str, fn: Callable) -> Callable:
+        """Register ``fn`` under ``name``."""
         self._kernels[name] = fn
         return fn
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
-from repro.backend.core import fusion_enabled, get_backend
+from repro.backend.core import fusion_enabled
 from repro.nn.dropout import Dropout
 from repro.nn.linear import Linear
 from repro.nn.module import Module
@@ -46,7 +46,7 @@ class MultiHeadSelfAttention(Module):
         k = self._split_heads(self.k_proj(x), batch, length)
         v = self._split_heads(self.v_proj(x), batch, length)
         scale = 1.0 / np.sqrt(self.d_head)
-        if fusion_enabled() and get_backend().has_kernel("attention_forward"):
+        if fusion_enabled():
             from repro.backend.ops import fused_attention
 
             context = fused_attention(q, k, v, mask, scale)

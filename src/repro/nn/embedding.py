@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.backend.core import fusion_enabled, get_backend, get_default_dtype
+from repro.backend.core import fusion_enabled, get_default_dtype
 from repro.nn.module import Module, Parameter
 
 
@@ -59,7 +59,7 @@ class Embedding(Module):
             # silently demoted a float32-cast model to mixed precision
             # whenever evaluation ran outside the training policy context.
             return Tensor(self.weight.data[token_ids], dtype=self.weight.data.dtype)
-        if fusion_enabled() and get_backend().has_kernel("embedding_gather_forward"):
+        if fusion_enabled():
             from repro.backend.ops import fused_embedding_gather
 
             return fused_embedding_gather(self.weight, token_ids)

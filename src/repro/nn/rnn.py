@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.backend.core import fusion_enabled, get_backend, get_default_dtype
+from repro.backend.core import fusion_enabled, get_default_dtype
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
@@ -107,7 +107,7 @@ class GRU(Module):
         # One big matmul for the input projections of every timestep.
         gates_x = x.reshape(batch * length, self.input_size) @ cell.weight_ih + cell.bias_ih
         gates_x = gates_x.reshape(batch, length, 3 * hs)
-        if fusion_enabled() and get_backend().has_kernel("gru_sequence_forward"):
+        if fusion_enabled():
             from repro.backend.ops import fused_gru_sequence
 
             state_dtype = x.data.dtype if x.data.dtype.kind == "f" else get_default_dtype()
